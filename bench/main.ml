@@ -15,12 +15,12 @@
      E10 simplifier ablation: code sizes            (table)
      E11 alpha-conversion ablation                  (counts)
      E12 interpreter vs bytecode VM                 (bechamel)
-     E13 parallel build speedup over domains        (timing)
+     E13 parallel build speedup on worker processes (timing)
      E14 unit-cache hit rates, warm-from-clean      (timing + counts)
      E15 atomic-commit overhead vs raw writes       (timing)
      E16 keep-going/diagnostics overhead, clean DAG (timing)
-     E17 worker-backend overhead vs in-process domains (timing + counts)
-     E18 observability overhead on a clean parallel build (timing)
+     E17 worker-backend cost vs serial              (timing + counts)
+     E18 observability overhead on a clean worker build (timing)
      E19 compile server: warm vs cold rebuilds, client throughput (timing)
      E20 critical-path scheduling vs wavefront on synthetic DAGs (timing)
      E21 distributed fabric: remote executors + shared cache (timing + counts)
@@ -39,7 +39,7 @@ let section title =
 (* Machine-readable results: BENCH_sepcomp.json                        *)
 (*                                                                     *)
 (* Schema (see README, "Observability"):                               *)
-(*   { "schema": "smlsep-bench/10", "quick": bool,                     *)
+(*   { "schema": "smlsep-bench/11", "quick": bool,                     *)
 (*     "experiments": {                                                *)
 (*       "build_times":      [{scale,units,lines,policy,build_s,       *)
 (*                             hash_s,dehydrate_s,rehydrate_s,         *)
@@ -49,16 +49,19 @@ let section title =
 (*       "build_latency":    [{scenario,policy,median_s,recompiled}],  *)
 (*       "pickle_sizes":     [{depth,bytes}],                          *)
 (*       "parallel_speedup": [{units,lines,width,cores,jobs,serial_s,  *)
-(*                             parallel_s,speedup}],                   *)
+(*                             serial_mad_s,workers_s,workers_mad_s,   *)
+(*                             speedup}],                              *)
 (*       "cache_hit_rate":   [{scenario,units,recompiled,cache_hits,   *)
 (*                             hit_rate,wall_s}],                      *)
 (*       "atomic_overhead":  [{group,units,reps,raw_s,atomic_s,        *)
 (*                             overhead_ratio}],                       *)
 (*       "keepgoing_overhead": [{topology,units,reps,failfast_s,       *)
 (*                             keepgoing_s,overhead_ratio}],           *)
-(*       "worker_overhead":  [{units,lines,jobs,workers_s,domains_s,   *)
-(*                             overhead_ratio,spawns,ipc_bytes_out,    *)
-(*                             ipc_bytes_in}],                         *)
+(*       "worker_overhead":  [{units,lines,jobs,serial_s,serial_mad_s, *)
+(*                             isolated_s,isolated_mad_s,              *)
+(*                             isolation_ratio,workers_s,              *)
+(*                             workers_mad_s,speedup,spawns,           *)
+(*                             ipc_bytes_out,ipc_bytes_in}],           *)
 (*       "compile_server":   [{scenario,units,lines,cold_s,warm_s,     *)
 (*                             speedup} | {scenario,clients,requests,  *)
 (*                             wall_s,requests_per_s}],                *)
@@ -99,7 +102,7 @@ let write_results () =
   let doc =
     J.Obj
       [
-        ("schema", J.String "smlsep-bench/10");
+        ("schema", J.String "smlsep-bench/11");
         ("quick", J.Bool !quick);
         ( "experiments",
           J.Obj
@@ -159,16 +162,22 @@ let run_bechamel ~name cases =
       Printf.printf "  %-44s %12.0f ns/run\n" test_name ns)
     rows
 
-(* wall-clock timing for project-scale flows; median of [n] runs *)
-let time_median ?n f =
-  let n = match n with Some n -> n | None -> if !quick then 1 else 3 in
+(* wall-clock timing for project-scale flows: the median of [n] >= 5
+   runs (default 5, 7 outside quick mode) and their MAD — the median
+   absolute deviation from that median, the spread a figure carries *)
+let time_spread ?n f =
+  let n = max 5 (match n with Some n -> n | None -> if !quick then 5 else 7) in
+  let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
   let samples =
     List.init n (fun _ ->
         let t0 = Unix.gettimeofday () in
         f ();
         Unix.gettimeofday () -. t0)
   in
-  List.nth (List.sort compare samples) (n / 2)
+  let med = median samples in
+  (med, median (List.map (fun x -> Float.abs (x -. med)) samples))
+
+let time_median ?n f = fst (time_spread ?n f)
 
 (* ------------------------------------------------------------------ *)
 (* E1: figure 1 — functor elaboration                                  *)
@@ -844,10 +853,11 @@ let e12 () =
 (* ------------------------------------------------------------------ *)
 
 let e13 () =
-  section "E13: parallel build speedup (wavefront scheduler over domains)";
+  section "E13: parallel build speedup (worker processes vs serial)";
   (* from-clean builds of a wide 64-unit DAG with compile-dominated
-     units; serial and parallel run the same per-unit isolated-session
-     pipeline, so the comparison isolates scheduling, not code paths *)
+     units; serial and worker builds run the same per-unit
+     isolated-session pipeline, so the comparison isolates scheduling
+     and IPC, not code paths *)
   let units = 64 in
   let fs = Vfs.memory () in
   let project =
@@ -864,27 +874,30 @@ let e13 () =
   in
   let width = Depend.Depgraph.width (Depend.Depgraph.build parsed) in
   let time_build backend =
-    time_median (fun () ->
+    time_spread (fun () ->
         List.iter (fun f -> fs.Vfs.fs_remove (f ^ ".bin")) sources;
         let mgr = Driver.create fs in
         ignore (Driver.build ~backend mgr ~policy:Driver.Cutoff ~sources))
   in
-  let serial_s = time_build Driver.Serial in
-  let cores = Domain.recommended_domain_count () in
+  let serial_s, serial_mad = time_build Driver.Serial in
+  let cores = Sched.default_jobs () in
   Printf.printf
     "%d units, %d lines, widest wavefront %d; available cores: %d\n" units
     lines width cores;
   if cores = 1 then
     print_endline
-      "(single-core machine: parallel backends can only lose here — the \
-       speedup column measures scheduling overhead, not parallelism)";
-  Printf.printf "%-10s | %10s | speedup\n" "backend" "median (s)";
-  Printf.printf "%-10s | %10.3f | %6.2fx\n" "serial" serial_s 1.0;
+      "(single-core machine: worker processes can only lose here — the \
+       speedup column measures IPC and scheduling overhead, not \
+       parallelism)";
+  Printf.printf "%-10s | %10s | %9s | speedup\n" "backend" "median (s)"
+    "MAD (s)";
+  Printf.printf "%-10s | %10.3f | %9.3f | %6.2fx\n" "serial" serial_s serial_mad
+    1.0;
   let jobs_list = if !quick then [ 2; 4 ] else [ 2; 4; 8 ] in
   List.iter
     (fun jobs ->
-      let parallel_s = time_build (Driver.Parallel jobs) in
-      let speedup = serial_s /. parallel_s in
+      let workers_s, workers_mad = time_build (Sched.of_jobs jobs) in
+      let speedup = serial_s /. workers_s in
       record tbl_parallel
         (J.Obj
            [
@@ -894,12 +907,14 @@ let e13 () =
              ("cores", J.Int cores);
              ("jobs", J.Int jobs);
              ("serial_s", J.Float serial_s);
-             ("parallel_s", J.Float parallel_s);
+             ("serial_mad_s", J.Float serial_mad);
+             ("workers_s", J.Float workers_s);
+             ("workers_mad_s", J.Float workers_mad);
              ("speedup", J.Float speedup);
            ]);
-      Printf.printf "%-10s | %10.3f | %6.2fx\n"
+      Printf.printf "%-10s | %10.3f | %9.3f | %6.2fx\n"
         (Printf.sprintf "--jobs %d" jobs)
-        parallel_s speedup)
+        workers_s workers_mad speedup)
     jobs_list
 
 (* ------------------------------------------------------------------ *)
@@ -1126,18 +1141,16 @@ let e16 () =
     units reps (1000. *. failfast_s) (1000. *. keepgoing_s) (100. *. overhead)
 
 (* ------------------------------------------------------------------ *)
-(* E17: worker-backend overhead vs in-process domains                  *)
+(* E17: worker-backend cost vs serial                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* the supervised out-of-process backend pays fork+exec-free spawns,
    framed IPC and pickled units on every compile; on a clean build of a
-   healthy DAG that is the whole price of crash isolation.  NOTE: this
-   experiment must run before anything spawns a domain (OCaml 5 forbids
-   Unix.fork once other domains have been created), so main () calls it
-   ahead of E13 and the workers variant is measured before the domains
-   variant below. *)
+   healthy DAG that is the whole price of crash isolation.  One worker
+   against serial isolates that price (same parallelism); [jobs]
+   workers against serial is what [--jobs] buys net of it. *)
 let e17 () =
-  section "E17: worker-backend overhead vs in-process domains (clean build)";
+  section "E17: worker-backend cost vs serial (clean build)";
   let units = 32 in
   let jobs = 4 in
   let fs = Vfs.memory () in
@@ -1149,14 +1162,14 @@ let e17 () =
   let sources = Gen.sources project in
   let lines = Gen.total_lines project in
   let time_build backend =
-    time_median (fun () ->
+    time_spread (fun () ->
         List.iter (fun f -> fs.Vfs.fs_remove (f ^ ".bin")) sources;
         let mgr = Driver.create fs in
         ignore (Driver.build ~backend mgr ~policy:Driver.Cutoff ~sources))
   in
   let metric name = Option.value ~default:0 (Obs.Metrics.find name) in
-  let workers_backend =
-    Driver.Workers { (Worker.default_config ~jobs ()) with Worker.w_chaos = [] }
+  let workers n =
+    Driver.Workers { (Worker.default_config ~jobs:n ()) with Worker.w_chaos = [] }
   in
   (* spawn count and IPC volume from one dedicated build, so the counts
      describe a single clean build rather than a median's worth *)
@@ -1165,48 +1178,57 @@ let e17 () =
   let in0 = metric "worker.ipc_bytes_in" in
   List.iter (fun f -> fs.Vfs.fs_remove (f ^ ".bin")) sources;
   ignore
-    (Driver.build ~backend:workers_backend (Driver.create fs)
+    (Driver.build ~backend:(workers jobs) (Driver.create fs)
        ~policy:Driver.Cutoff ~sources);
   let spawns = metric "worker.spawns" - spawns0 in
   let ipc_out = metric "worker.ipc_bytes_out" - out0 in
   let ipc_in = metric "worker.ipc_bytes_in" - in0 in
-  let workers_s = time_build workers_backend in
-  let domains_s = time_build (Driver.Parallel jobs) in
-  let overhead = (workers_s -. domains_s) /. domains_s in
+  let serial_s, serial_mad = time_build Driver.Serial in
+  let isolated_s, isolated_mad = time_build (workers 1) in
+  let workers_s, workers_mad = time_build (workers jobs) in
+  let isolation = (isolated_s -. serial_s) /. serial_s in
+  let speedup = serial_s /. workers_s in
   record tbl_worker
     (J.Obj
        [
          ("units", J.Int units);
          ("lines", J.Int lines);
          ("jobs", J.Int jobs);
+         ("serial_s", J.Float serial_s);
+         ("serial_mad_s", J.Float serial_mad);
+         ("isolated_s", J.Float isolated_s);
+         ("isolated_mad_s", J.Float isolated_mad);
+         ("isolation_ratio", J.Float isolation);
          ("workers_s", J.Float workers_s);
-         ("domains_s", J.Float domains_s);
-         ("overhead_ratio", J.Float overhead);
+         ("workers_mad_s", J.Float workers_mad);
+         ("speedup", J.Float speedup);
          ("spawns", J.Int spawns);
          ("ipc_bytes_out", J.Int ipc_out);
          ("ipc_bytes_in", J.Int ipc_in);
        ]);
   Printf.printf
-    "%d units, %d lines, %d jobs (from-clean medians)\n\
-     in-process domains %8.3f ms\n\
-     worker processes   %8.3f ms\n\
-     overhead           %+7.2f%%  (isolation budget: < 15%%)\n\
-     per clean build: %d worker spawns, %d B IPC out, %d B IPC in\n"
-    units lines jobs (1000. *. domains_s) (1000. *. workers_s)
-    (100. *. overhead) spawns ipc_out ipc_in
+    "%d units, %d lines (from-clean medians ± MAD)\n\
+     serial              %8.3f ± %6.3f ms\n\
+     1 worker process    %8.3f ± %6.3f ms  isolation cost %+7.2f%%\n\
+     %d worker processes %8.3f ± %6.3f ms  speedup %.2fx\n\
+     per clean build on %d workers: %d spawns, %d B IPC out, %d B IPC in\n"
+    units lines (1000. *. serial_s) (1000. *. serial_mad)
+    (1000. *. isolated_s) (1000. *. isolated_mad) (100. *. isolation) jobs
+    (1000. *. workers_s) (1000. *. workers_mad) speedup jobs spawns ipc_out
+    ipc_in
 
 (* ------------------------------------------------------------------ *)
-(* E18: observability overhead on a clean parallel build               *)
+(* E18: observability overhead on a clean worker build                 *)
 (* ------------------------------------------------------------------ *)
 
 (* the introspection layer's whole price on the hot path: per-phase
    duration collection in every compile job, the end-of-build profile
    record (snapshot + journal through Vfs.commit), and full span
-   tracing.  All of it rides an otherwise-unchanged clean parallel
-   build, so the ratio is the overhead a user pays for [--trace] plus
+   tracing (worker children ship their spans back).  All of it rides an
+   otherwise-unchanged clean build on worker processes, so the ratio is the overhead a user pays for [--trace] plus
    the always-on profile store. *)
 let e18 () =
-  section "E18: observability overhead (clean parallel build)";
+  section "E18: observability overhead (clean worker build)";
   let units = 32 in
   let jobs = 4 in
   let fs = Vfs.memory () in
@@ -1218,7 +1240,7 @@ let e18 () =
   let sources = Gen.sources project in
   let lines = Gen.total_lines project in
   let clean () = List.iter (fun f -> fs.Vfs.fs_remove (f ^ ".bin")) sources in
-  let backend = Driver.Parallel jobs in
+  let backend = Sched.of_jobs jobs in
   let baseline_s =
     time_median (fun () ->
         clean ();
@@ -1270,10 +1292,7 @@ let e18 () =
    index alive across builds, so a rebuild skips the one-shot tool's
    start-from-bins rehydration.  Cold = a fresh manager per build (what
    plain [irm build] pays after process start); warm = the same builds
-   through the daemon socket, HELLO/request round-trip included.
-   NOTE: forks the daemon and the throughput clients, so main () must
-   call this before anything spawns a domain (fork-after-domains is
-   forbidden) — in particular before E17's in-process domains leg. *)
+   through the daemon socket, HELLO/request round-trip included. *)
 let e19 () =
   section "E19: compile server — warm vs cold rebuilds, client throughput";
   let units = if !quick then 12 else 24 in
@@ -1303,7 +1322,6 @@ let e19 () =
   fs.Vfs.fs_write "sources.cm" (String.concat "\n" sources ^ "\n");
   (* seed the artifacts so every measured build is a rebuild *)
   ignore (Driver.build (Driver.create fs) ~policy:Driver.Cutoff ~sources);
-  (* fork the daemon before any domain exists in this process *)
   let daemon_pid =
     match Unix.fork () with
     | 0 ->
@@ -1396,8 +1414,8 @@ let e19 () =
   row "null_rebuild" cold_null_s warm_null_s;
   row "impl_edit_rebuild" cold_edit_s warm_edit_s;
   (* throughput: N client processes hammering null rebuilds
-     concurrently — real CLI clients are separate processes, and forked
-     children keep this experiment domain-free.  The daemon serves them
+     concurrently — real CLI clients are separate processes, so the
+     clients are forked children.  The daemon serves them
      one at a time, so this measures socket and scheduling overhead
      under contention, not parallel compilation *)
   let requests_per_client = if !quick then 5 else 20 in
@@ -1465,8 +1483,10 @@ let e19 () =
 (* E20: critical-path scheduling vs wavefront on synthetic DAGs        *)
 (* ------------------------------------------------------------------ *)
 
-(* Drives Sched.run directly with sleep jobs, so the measured makespan
-   is pure scheduling: the same DAG, the same per-node durations, once
+(* Drives Sched.run directly with sleep jobs on worker processes, so the
+   measured makespan is pure scheduling (plus the pool's start-up, the
+   same for both schedules): the same DAG, the same per-node durations,
+   once
    dispatched in caller order (wavefront) and once ranked by exact
    critical-path length with the static/codegen split on — the
    idealized version of what `irm build --schedule=critical-path`
@@ -1504,28 +1524,42 @@ let e20 () =
           (List.rev order);
         Some (fun n -> Hashtbl.find cp n)
     in
+    (* the job sleeps for the node's duration; under the split it
+       releases its (empty) static view after the static prefix.  The
+       worker children run it through a string codec. *)
+    let job ~notify n =
+      (match schedule with
+      | `Wavefront -> Unix.sleepf (duration n)
+      | `Critical_path ->
+        Unix.sleepf (static_s n);
+        notify "";
+        Unix.sleepf (codegen_s n));
+      n
+    in
     let split =
       match schedule with
       | `Wavefront -> None
       | `Critical_path ->
-        Some
+        Some { Sched.sp_execute = job; sp_on_static = (fun _ _ -> ()) }
+    in
+    let codec =
+      {
+        Sched.c_proto =
           {
-            Sched.sp_execute =
-              (fun ~notify n ->
-                Unix.sleepf (static_s n);
-                notify "";
-                Unix.sleepf (codegen_s n);
-                n);
-            sp_on_static = (fun _ _ -> ());
-          }
+            Worker.p_handler = (fun ~notify ~id:_ n -> job ~notify n);
+            p_encode_exn = Printexc.to_string;
+            p_decode_exn = (fun msg -> Failure msg);
+            p_fail = (fun ~id _ -> Failure ("e20: worker failed on " ^ id));
+          };
+        c_encode_job = Fun.id;
+        c_decode_result = Fun.id;
+      }
     in
     let t0 = Unix.gettimeofday () in
     let outcomes =
-      Sched.run ?priority ?split (Sched.Parallel jobs) ~order ~deps
+      Sched.run ?priority ?split ~codec (Sched.of_jobs jobs) ~order ~deps
         ~prepare:(fun n -> Sched.Run n)
-        ~execute:(fun n ->
-          Unix.sleepf (duration n);
-          n)
+        ~execute:(job ~notify:ignore)
         ~complete:(fun _ r -> r)
     in
     let wall = Unix.gettimeofday () -. t0 in
@@ -1620,10 +1654,7 @@ let e20 () =
    added (1/2/4, each a separate forked process hosting its own worker
    pool), shared-cache hit rate for a second builder warming from the
    service, and what degraded mode costs when every executor is dead
-   (dial failures, quarantine, then local fallback).
-   NOTE: forks executor and cache-service processes, so main () must
-   call this before anything spawns a domain (fork-after-domains is
-   forbidden). *)
+   (dial failures, quarantine, then local fallback). *)
 let e21 () =
   section "E21: distributed fabric — remote executors + shared cache";
   let units = if !quick then 10 else 20 in
@@ -1918,20 +1949,15 @@ let () =
   e10 ();
   e11 ();
   if not !quick then e12 ();
-  (* E19 forks the daemon and its clients, E21 forks executor and
-     cache-service processes, and E17 forks worker processes, so all
-     three must run before anything creates a domain
-     (fork-after-domains is forbidden).  E17's own domains variant
-     makes it the last safe moment to fork, hence E19/E21 first. *)
-  e19 ();
-  e21 ();
-  e17 ();
   e13 ();
   e14 ();
   e15 ();
   e16 ();
+  e17 ();
   e18 ();
+  e19 ();
   e20 ();
+  e21 ();
   e22 ();
   write_results ();
   Printf.printf "\nwrote %s\ndone.\n" !out_path

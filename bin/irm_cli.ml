@@ -12,8 +12,9 @@
 
    A group file lists source paths, one per line; dependency order is
    computed automatically (section 8 of the paper).  --jobs picks the
-   worker-domain count (independent units compile concurrently; the
-   resulting bin files are byte-identical to a serial build); --cache
+   worker-process count (independent units compile concurrently in
+   supervised child processes; the resulting bin files are
+   byte-identical to a serial build); --cache
    keeps a content-addressed store of compiled units so any previously
    seen (source, imports) pair is reused instead of recompiled.
    --trace writes a Chrome trace_event file (open in chrome://tracing
@@ -76,9 +77,6 @@ let with_manager ?fault_seed ?(fault_ops = 32) dir group f =
   let mgr = Irm.Driver.create fs in
   f fs mgr sources
 
-let backend_of_jobs jobs =
-  if jobs <= 1 then Irm.Driver.Serial else Irm.Driver.Parallel jobs
-
 (* --schedule=auto: critical-path once the profile store has a recorded
    build to estimate from, classical wavefront otherwise (including
    under --no-profile, where there are no estimates to be had) *)
@@ -102,9 +100,9 @@ let parse_remote_addr s =
     Support.Diag.error Support.Diag.Manager Support.Loc.dummy "--remote: %s"
       msg
 
-(* --remote beats --workers beats --jobs: the more isolated backend is
-   always the explicit opt-in *)
-let backend_of ~jobs ~workers ~worker_timeout ?(remotes = [])
+(* --remote beats --jobs: the remote fleet is always the explicit
+   opt-in *)
+let backend_of ~jobs ~worker_timeout ?(remotes = [])
     ?(remote_timeout = 30.) ?(remote_fallback = true) () =
   if remotes <> [] then
     Irm.Driver.Remote
@@ -115,11 +113,7 @@ let backend_of ~jobs ~workers ~worker_timeout ?(remotes = [])
         Remote.Fleet.r_job_timeout_s = remote_timeout;
         r_local_fallback = remote_fallback;
       }
-  else if workers > 0 then
-    Irm.Driver.Workers
-      { (Worker.default_config ~jobs:workers ()) with
-        Worker.w_timeout_s = worker_timeout }
-  else backend_of_jobs jobs
+  else Sched.of_jobs ~worker_timeout_s:worker_timeout jobs
 
 (* --remote-cache: read through the shared cache service, with the
    local cache (when --cache is also on) in front.  The client degrades
@@ -275,7 +269,8 @@ let pp_cache_stats = function
   | None -> ()
 
 (* build options as the daemon protocol carries them; process-only
-   features (--workers, --fault-seed, --trace, --stats) stay local *)
+   features (--worker-timeout, --fault-seed, --trace, --stats) stay
+   local *)
 let daemon_build_opts group policy schedule jobs use_cache keep_going werror
     max_errors error_format =
   {
@@ -292,25 +287,25 @@ let daemon_build_opts group policy schedule jobs use_cache keep_going werror
     b_schedule = schedule_string schedule;
   }
 
-(* --workers forks, --fault-seed wraps the daemon's real fs, --remote
-   owns its own connections — all strictly in-process features, so they
-   win over --daemon *)
-let daemon_routable ~use_daemon ~workers ~fault_seed ?(remotes = []) () =
-  if use_daemon && (workers > 0 || fault_seed <> None || remotes <> []) then begin
+(* --fault-seed wraps the daemon's real fs, --remote owns its own
+   connections — both strictly in-process features, so they win over
+   --daemon *)
+let daemon_routable ~use_daemon ~fault_seed ?(remotes = []) () =
+  if use_daemon && (fault_seed <> None || remotes <> []) then begin
     Printf.eprintf
-      "irm: --workers, --remote and --fault-seed are in-process features; \
-       ignoring --daemon\n%!";
+      "irm: --remote and --fault-seed are in-process features; ignoring \
+       --daemon\n%!";
     false
   end
   else use_daemon
 
-let build_cmd_impl dir group policy schedule jobs workers worker_timeout
+let build_cmd_impl dir group policy schedule jobs worker_timeout
     remotes remote_cache remote_timeout no_remote_fallback use_cache cache_dir
     budget_mb no_profile profile_dir trace stats_flag fault_seed fault_ops
     keep_going werror max_errors error_format use_daemon =
   guarded ~error_format (fun () ->
       let use_daemon =
-        daemon_routable ~use_daemon ~workers ~fault_seed ~remotes ()
+        daemon_routable ~use_daemon ~fault_seed ~remotes ()
       in
       match daemon_client ~use_daemon dir with
       | Some c ->
@@ -330,7 +325,7 @@ let build_cmd_impl dir group policy schedule jobs workers worker_timeout
                 let stats, code =
                   build_units
                     ~backend:
-                      (backend_of ~jobs ~workers ~worker_timeout ~remotes
+                      (backend_of ~jobs ~worker_timeout ~remotes
                          ~remote_timeout
                          ~remote_fallback:(not no_remote_fallback) ())
                     ~schedule
@@ -344,13 +339,13 @@ let build_cmd_impl dir group policy schedule jobs workers worker_timeout
                 end;
                 code)))
 
-let run_cmd_impl dir group policy schedule jobs workers worker_timeout remotes
+let run_cmd_impl dir group policy schedule jobs worker_timeout remotes
     remote_cache remote_timeout no_remote_fallback use_cache cache_dir
     budget_mb no_profile profile_dir trace stats_flag fault_seed fault_ops
     keep_going werror max_errors error_format use_daemon =
   guarded ~error_format (fun () ->
       let use_daemon =
-        daemon_routable ~use_daemon ~workers ~fault_seed ~remotes ()
+        daemon_routable ~use_daemon ~fault_seed ~remotes ()
       in
       match daemon_client ~use_daemon dir with
       | Some c ->
@@ -370,7 +365,7 @@ let run_cmd_impl dir group policy schedule jobs workers worker_timeout remotes
                 let stats =
                   Irm.Driver.build
                     ~backend:
-                      (backend_of ~jobs ~workers ~worker_timeout ~remotes
+                      (backend_of ~jobs ~worker_timeout ~remotes
                          ~remote_timeout
                          ~remote_fallback:(not no_remote_fallback) ())
                     ~schedule
@@ -388,7 +383,7 @@ let run_cmd_impl dir group policy schedule jobs workers worker_timeout remotes
                 end;
                 code)))
 
-let stats_cmd_impl dir group policy schedule jobs workers worker_timeout
+let stats_cmd_impl dir group policy schedule jobs worker_timeout
     remotes remote_cache remote_timeout no_remote_fallback use_cache cache_dir
     budget_mb no_profile profile_dir trace json keep_going werror max_errors =
   guarded (fun () ->
@@ -403,7 +398,7 @@ let stats_cmd_impl dir group policy schedule jobs workers worker_timeout
               let stats =
                 Irm.Driver.build
                   ~backend:
-                    (backend_of ~jobs ~workers ~worker_timeout ~remotes
+                    (backend_of ~jobs ~worker_timeout ~remotes
                        ~remote_timeout
                        ~remote_fallback:(not no_remote_fallback) ())
                   ~schedule
@@ -553,8 +548,7 @@ let daemon_start_impl dir state_dir groups watch poll_s client_timeout
         let log_path = Daemon.Protocol.log_path ~dir ~state_dir in
         (try Unix.mkdir (Filename.dirname log_path) 0o755
          with Unix.Unix_error _ -> ());
-        (* daemonize.  Forking is safe here: no domain has been spawned
-           yet, and the daemon's own Parallel domains are born after *)
+        (* daemonize *)
         match Unix.fork () with
         | 0 ->
           ignore (Unix.setsid ());
@@ -770,8 +764,7 @@ let daemon_epochs_impl dir state_dir group json =
 (* ------------------------------------------------------------------ *)
 
 (* both services run in the foreground: the reactor loops on its own
-   socket until SIGINT/SIGTERM asks it to stop.  Neither spawns
-   domains, so serve-exec's worker pool can still fork children. *)
+   socket until SIGINT/SIGTERM asks it to stop *)
 let serve_until_signalled ~stop ~run =
   let handler = Sys.Signal_handle (fun _ -> stop ()) in
   Sys.set_signal Sys.sigint handler;
@@ -870,31 +863,21 @@ let jobs_arg =
     & opt int (Sched.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Number of worker domains compiling independent units \
-           concurrently (default: the machine's recommended domain \
-           count).  $(docv) <= 1 builds serially; the bin files are \
-           byte-identical either way.")
-
-let workers_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "workers" ] ~docv:"N"
-        ~doc:
-          "Compile every unit in one of $(docv) supervised child \
-           $(i,processes) instead of in-process domains (overrides \
-           $(b,--jobs)).  A compiler crash or hang then costs that unit \
-           alone: crashed units are retried on a fresh worker and \
-           quarantined as $(b,E0701) after repeated crashes, hung units \
-           are killed at $(b,--worker-timeout) and failed as \
-           $(b,E0702).  Bin files are byte-identical to an in-process \
-           build.  0 (the default) disables worker processes.")
+          "Compile independent units concurrently in $(docv) supervised \
+           child processes (default: the machine's core count).  \
+           $(docv) <= 1 builds serially in this process; the bin files \
+           are byte-identical either way.  Under worker processes a \
+           compiler crash or hang costs that unit alone: crashed units \
+           are retried on a fresh worker and quarantined as $(b,E0701) \
+           after repeated crashes, hung units are killed at \
+           $(b,--worker-timeout) and failed as $(b,E0702).")
 
 let worker_timeout_arg =
   Arg.(
     value & opt float 30.
     & info [ "worker-timeout" ] ~docv:"SEC"
         ~doc:
-          "Wall-clock budget per unit compile under $(b,--workers); a \
+          "Wall-clock budget per unit compile in a worker process; a \
            child exceeding it is killed and the unit fails with \
            $(b,E0702) (default 30s).")
 
@@ -906,7 +889,7 @@ let remote_arg =
           "Dispatch compiles to the remote executor at $(docv) \
            ($(b,unix:PATH), $(b,tcp:HOST:PORT), or a bare socket path; \
            repeatable — the fleet load-balances across every executor, \
-           overriding $(b,--workers) and $(b,--jobs)).  Jobs carry \
+           overriding $(b,--jobs)).  Jobs carry \
            per-deadline retries and hedged re-dispatch; an executor that \
            keeps failing is quarantined, and when every executor is gone \
            the build degrades to local compiles with a warning — \
@@ -1062,8 +1045,9 @@ let daemon_flag_arg =
           "Route the request to a running compile server (started with \
            $(b,irm daemon start)), reusing its warm build state; falls \
            back to in-process execution when no daemon is listening.  \
-           In-process features ($(b,--workers), $(b,--fault-seed), \
-           $(b,--trace), $(b,--stats)) are not routed.")
+           In-process features ($(b,--worker-timeout), \
+           $(b,--fault-seed), $(b,--trace), $(b,--stats)) are not \
+           routed.")
 
 let exits =
   [
@@ -1077,7 +1061,7 @@ let exits =
          is safe and a rerun converges.";
     Cmd.Exit.info 4
       ~doc:
-        "when the worker pool under $(b,--workers) died entirely \
+        "when the worker pool under $(b,--jobs) died entirely \
          (workers kept dying before doing any work) and the build was \
          aborted.";
     Cmd.Exit.info 130
@@ -1092,8 +1076,7 @@ let build_cmd =
        ~doc:"bring every unit of the group up to date")
     Term.(
       const build_cmd_impl $ dir_arg $ group_arg $ policy_arg $ schedule_arg
-      $ jobs_arg
-      $ workers_arg $ worker_timeout_arg $ remote_arg $ remote_cache_arg
+      $ jobs_arg $ worker_timeout_arg $ remote_arg $ remote_cache_arg
       $ remote_timeout_arg $ no_remote_fallback_arg
       $ cache_flag_arg $ cache_dir_arg
       $ cache_budget_arg $ no_profile_arg $ profile_dir_arg $ trace_arg
@@ -1106,8 +1089,7 @@ let run_cmd =
        ~doc:"build, then execute all units in dependency order")
     Term.(
       const run_cmd_impl $ dir_arg $ group_arg $ policy_arg $ schedule_arg
-      $ jobs_arg
-      $ workers_arg $ worker_timeout_arg $ remote_arg $ remote_cache_arg
+      $ jobs_arg $ worker_timeout_arg $ remote_arg $ remote_cache_arg
       $ remote_timeout_arg $ no_remote_fallback_arg
       $ cache_flag_arg $ cache_dir_arg
       $ cache_budget_arg $ no_profile_arg $ profile_dir_arg $ trace_arg
@@ -1120,8 +1102,7 @@ let stats_cmd =
        ~doc:"build, then print the per-unit report and metric counters")
     Term.(
       const stats_cmd_impl $ dir_arg $ group_arg $ policy_arg $ schedule_arg
-      $ jobs_arg
-      $ workers_arg $ worker_timeout_arg $ remote_arg $ remote_cache_arg
+      $ jobs_arg $ worker_timeout_arg $ remote_arg $ remote_cache_arg
       $ remote_timeout_arg $ no_remote_fallback_arg
       $ cache_flag_arg $ cache_dir_arg
       $ cache_budget_arg $ no_profile_arg $ profile_dir_arg $ trace_arg
@@ -1363,7 +1344,7 @@ let exec_jobs_arg =
     & info [ "exec-jobs" ] ~docv:"N"
         ~doc:
           "Size of the executor's supervised worker-process pool \
-           (default: the machine's recommended domain count).  0 \
+           (default: the machine's core count).  0 \
            compiles inline in the reactor — single-job, for tests.")
 
 let shards_arg =
@@ -1381,7 +1362,7 @@ let serve_exec_cmd =
          "serve a remote compile executor: a supervised worker pool \
           behind a socket, dispatching jobs from $(b,build --remote) \
           clients (crashes and hangs surface as $(b,E0701)/$(b,E0702) \
-          exactly as under $(b,--workers))")
+          exactly as under $(b,--jobs))")
     Term.(
       const serve_exec_impl $ listen_arg $ exec_jobs_arg $ worker_timeout_arg)
 

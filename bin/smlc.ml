@@ -26,7 +26,7 @@ let write_file path content =
   close_out oc;
   Sys.rename tmp path
 
-(* compile in a supervised child process (--workers): the job carries
+(* compile in a supervised child process (--isolate): the job carries
    the source and the import bins, the child replies with the bin bytes
    — byte-identical to the in-process compile, but a compiler crash or
    hang costs an E0701/E0702 diagnostic instead of the process *)
@@ -53,11 +53,14 @@ let compile_supervised ~worker_timeout ~werror ~max_errors ~source_path ~source
   Fun.protect ~finally:(fun () -> Worker.shutdown pool) @@ fun () ->
   Worker.submit pool ~id:source_path (Irm.Wire.encode_job job);
   match Worker.next pool with
-  | _, Ok payload -> (Irm.Wire.decode_result payload).Irm.Wire.r_bytes
+  | _, Ok payload ->
+    let result = Irm.Wire.decode_result payload in
+    Obs.Metrics.add_counters result.Irm.Wire.r_counters;
+    result.Irm.Wire.r_bytes
   | _, Error exn -> raise exn
 
 let compile_one diags source_path import_paths run verbose use_cache cache_dir
-    trace stats workers worker_timeout werror max_errors =
+    trace stats isolate worker_timeout werror max_errors =
   if trace <> None then Obs.Trace.enable ();
   let session = Sepcomp.Compile.new_session () in
   let import_bins =
@@ -102,7 +105,7 @@ let compile_one diags source_path import_paths run verbose use_cache cache_dir
       (unit_, bytes)
     | None ->
       let unit_, bytes =
-        if workers then begin
+        if isolate then begin
           let bytes =
             compile_supervised ~worker_timeout ~werror ~max_errors
               ~source_path ~source ~import_bins
@@ -184,7 +187,7 @@ let report_diags source_path error_format ~failed ds =
       ds
 
 let main source_path import_paths run verbose use_cache cache_dir trace stats
-    workers worker_timeout werror max_errors error_format =
+    isolate worker_timeout werror max_errors error_format =
   (* the whole compile runs under one collector: the front end recovers
      and every diagnostic of the unit is reported in a single run *)
   let diags =
@@ -193,7 +196,7 @@ let main source_path import_paths run verbose use_cache cache_dir trace stats
   match
     Support.Diag.guard_all (fun () ->
         compile_one diags source_path import_paths run verbose use_cache
-          cache_dir trace stats workers worker_timeout werror max_errors)
+          cache_dir trace stats isolate worker_timeout werror max_errors)
   with
   | Ok code ->
     (* surviving diagnostics are warnings/notes *)
@@ -260,10 +263,10 @@ let trace_arg =
 let stats_arg =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print the metric counters.")
 
-let workers_arg =
+let isolate_arg =
   Arg.(
     value & flag
-    & info [ "workers" ]
+    & info [ "isolate" ]
         ~doc:
           "Compile in a supervised child process: a compiler crash is \
            reported as $(b,E0701) and a hang is killed at \
@@ -276,7 +279,7 @@ let worker_timeout_arg =
     value & opt float 30.
     & info [ "worker-timeout" ] ~docv:"SEC"
         ~doc:
-          "Wall-clock budget for the compile under $(b,--workers) \
+          "Wall-clock budget for the compile under $(b,--isolate) \
            (default 30s).")
 
 let werror_arg =
@@ -312,7 +315,7 @@ let exits =
     Cmd.Exit.info 3 ~doc:"on a simulated crash (fault injection).";
     Cmd.Exit.info 4
       ~doc:
-        "when the worker pool under $(b,--workers) died entirely and \
+        "when the worker process under $(b,--isolate) died entirely and \
          the compile was aborted.";
   ]
 
@@ -322,7 +325,7 @@ let cmd =
     (Cmd.info "smlc" ~doc ~exits)
     Term.(
       const main $ source_arg $ imports_arg $ run_arg $ verbose_arg
-      $ cache_flag_arg $ cache_dir_arg $ trace_arg $ stats_arg $ workers_arg
+      $ cache_flag_arg $ cache_dir_arg $ trace_arg $ stats_arg $ isolate_arg
       $ worker_timeout_arg $ werror_arg $ max_errors_arg $ error_format_arg)
 
 (* standardized exit codes (documented under EXIT STATUS in --help):

@@ -49,7 +49,7 @@ let compile ?(optimize = true) ?warn ?diags ?on_static session ~name ~source
   let stage_start = Unix.gettimeofday () in
   (* generated binder names restart from zero for every unit, making
      the emitted bin bytes a function of (source, imports) alone —
-     independent of session history, build order, or which domain runs
+     independent of session history, build order, or which process runs
      the compile.  Binders never escape a unit's own lambda term, so
      cross-unit reuse of a name is harmless. *)
   Support.Symbol.with_fresh_scope @@ fun () ->

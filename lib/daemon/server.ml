@@ -133,8 +133,6 @@ let policy_of = function
   | "selective" -> Some Driver.Selective
   | _ -> None
 
-let backend_of jobs = if jobs <= 1 then Driver.Serial else Driver.Parallel jobs
-
 (* [auto] resolves against the daemon's warm profile store, mirroring
    the CLI's in-process default *)
 let schedule_of t = function
@@ -315,7 +313,7 @@ let serve_build ?abort_check t opts ~and_run =
         Obs.Metrics.incr m_builds;
         let stats =
           Driver.build
-            ~backend:(backend_of opts.b_jobs)
+            ~backend:(Sched.of_jobs opts.b_jobs)
             ~schedule
             ?cache:(Option.map Cache.ops (cache_of t opts.b_cache)) ~profile:t.profile
             ~keep_going:opts.b_keep_going ~werror:opts.b_werror

@@ -10,7 +10,6 @@ let policy_name = function
 
 type backend = Sched.backend =
   | Serial
-  | Parallel of int
   | Workers of Worker.config
   | Remote of Remote.Fleet.config
 
@@ -167,6 +166,7 @@ type result = Wire.result = {
   r_kind : kind;
   r_bytes : string;  (** the unit's (possibly new) bin bytes *)
   r_phases : (string * float) list;  (** per-phase compile seconds *)
+  r_counters : (string * int) list;
 }
 
 let execute job = Wire.execute job
@@ -181,7 +181,7 @@ type prep = {
 
 (* builds not recorded to a profile store still get distinct ids for
    trace correlation *)
-let ephemeral_build_id = Atomic.make 1
+let ephemeral_build_id = ref 0
 
 (* transient injected faults (and nothing else) are worth retrying *)
 let transient_fault = function
@@ -204,7 +204,9 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
   let build_id =
     match profile with
     | Some p -> Obs.Profile.next_id p
-    | None -> Atomic.fetch_and_add ephemeral_build_id 1
+    | None ->
+      incr ephemeral_build_id;
+      !ephemeral_build_id
   in
   Obs.Trace.span ~cat:"build"
     ~args:
@@ -415,7 +417,7 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
                          (Hashtbl.find_opt provider modname))
                      changed_mods))))
   in
-  (* [prepare] runs on the calling domain once every dependency of
+  (* [prepare] runs in the building process once every dependency of
      [file] completed: staleness check, then cache probe, and only if
      both miss does the node become a compile job. *)
   let prepare file =
@@ -488,7 +490,8 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
       | Some (prev, bytes) ->
         Hashtbl.replace t.units file prev;
         Hashtbl.replace t.bin_bytes file bytes;
-        Sched.Done { r_kind = Loaded; r_bytes = bytes; r_phases = [] }
+        Sched.Done
+          { r_kind = Loaded; r_bytes = bytes; r_phases = []; r_counters = [] }
       | None -> assert false
     end
     else
@@ -504,14 +507,20 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
             compile_job ()
           | unit_ ->
             if String.equal unit_.Pickle.Binfile.uf_name file then
-              Sched.Done { r_kind = Cache_hit; r_bytes = bytes; r_phases = [] }
+              Sched.Done
+                {
+                  r_kind = Cache_hit;
+                  r_bytes = bytes;
+                  r_phases = [];
+                  r_counters = [];
+                }
             else begin
               c.Cache.o_invalidate k;
               compile_job ()
             end))
       | _ -> compile_job ()
   in
-  (* [complete] merges a result back on the calling domain: rehydrate
+  (* [complete] merges a result back in the building process: rehydrate
      into the manager's session, write the bin file, feed the cache. *)
   let complete file result =
     let prep = Hashtbl.find preps file in
@@ -548,12 +557,12 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
     match backend with
     | Sched.Remote cfg ->
       Sched.Remote { cfg with Remote.Fleet.r_fail = Wire.remote_fail }
-    | (Sched.Serial | Sched.Parallel _ | Sched.Workers _) as b -> b
+    | (Sched.Serial | Sched.Workers _) as b -> b
   in
   let codec =
     match backend with
     | Sched.Workers _ | Sched.Remote _ -> Some (Wire.codec ())
-    | Sched.Serial | Sched.Parallel _ -> None
+    | Sched.Serial -> None
   in
   (* a signal arriving mid-build raises [Interrupted] out of a node
      callback; the partial build still lands in the profile store (only

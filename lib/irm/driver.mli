@@ -22,7 +22,7 @@
     measure.
 
     Orthogonally to the policy, [build] takes a {!backend} — compile
-    jobs of independent units can run on a pool of worker domains
+    jobs of independent units can run on a pool of worker processes
     ({!Sched}) — and an optional content-addressed {!Cache.t} that is
     consulted before every compile, under every policy.  Because a
     compiled unit is a pure function of (source, import interface
@@ -35,11 +35,11 @@ val policy_name : policy -> string
 
 (** Where compile jobs run — re-exported from {!Sched.backend}.
     [Workers] runs every compile in a supervised child process
-    ({!Worker}): crash isolation, per-unit timeouts, and quarantine
-    diagnostics ([E0701]/[E0702]), byte-identical to [Serial]. *)
+    ({!Worker}): parallelism, crash isolation, per-unit timeouts, and
+    quarantine diagnostics ([E0701]/[E0702]), byte-identical to
+    [Serial]. *)
 type backend = Sched.backend =
   | Serial
-  | Parallel of int
   | Workers of Worker.config
   | Remote of Remote.Fleet.config
 
@@ -116,7 +116,7 @@ type stats = {
   st_wall_s : float;  (** wall-clock seconds for the whole build *)
   st_unit_times : (string * float) list;
       (** wall-clock seconds per unit from staleness check to merged
-          result, in build order (spans overlap under [Parallel]) *)
+          result, in build order (spans overlap under [Workers]) *)
   st_build_id : int;
       (** from the profile store when one was given, else a
           process-local counter *)
@@ -176,7 +176,7 @@ val last_order : t -> string list
     [fault_transient]) are retried up to [retries] times (default 2)
     with exponential backoff starting at [backoff_s] seconds.
     Raises {!Support.Diag.Error} on missing sources, cycles, or compile
-    errors — under [Parallel] the error reported is the one a serial
+    errors — under [Workers] the error reported is the one a serial
     left-to-right build would have raised.
 
     With [keep_going] (default false) compile errors no longer raise:

@@ -20,19 +20,20 @@ type result = {
   r_kind : kind;
   r_bytes : string;
   r_phases : (string * float) list;
+  r_counters : (string * int) list;
 }
 
 let manager_error fmt = Diag.error Diag.Manager Loc.dummy fmt
 
-(* [execute] may run on a worker domain or in a forked child.  It
-   touches nothing but the job: a brand-new session is rehydrated from
-   the closure bytes, the unit is compiled against its direct imports,
-   and the pickled bytes are the result.  Because generated binder
-   names are scoped per compile (Symbol.with_fresh_scope) the bytes are
-   a pure function of (source, closure) — identical no matter which
-   domain, process, or how many, ran the job.  The serial backend runs
-   this very function inline, so Serial, Parallel and Workers builds
-   agree byte-for-byte by construction. *)
+(* [execute] may run inline or in a forked child.  It touches nothing
+   but the job: a brand-new session is rehydrated from the closure
+   bytes, the unit is compiled against its direct imports, and the
+   pickled bytes are the result.  Because generated binder names are
+   scoped per compile (Symbol.with_fresh_scope) the bytes are a pure
+   function of (source, closure) — identical no matter which process,
+   or how many, ran the job.  The serial backend runs this very
+   function inline, so Serial and Workers builds agree byte-for-byte by
+   construction. *)
 let execute ?notify job =
   Obs.Trace.span ~cat:"compile"
     ~args:[ ("unit", job.j_name); ("build", string_of_int job.j_build) ]
@@ -98,6 +99,7 @@ let execute ?notify job =
     r_kind = Recompiled;
     r_bytes;
     r_phases = (("rehydrate", rehydrate_s) :: phases) @ [ ("save", save_s) ];
+    r_counters = [];
   }
 
 exception Child_failure of string
@@ -174,6 +176,11 @@ let encode_result result =
       Buf.string w name;
       Buf.string w (Printf.sprintf "%h" s))
     result.r_phases;
+  Buf.list w
+    (fun (name, n) ->
+      Buf.string w name;
+      Buf.int w n)
+    result.r_counters;
   Buf.contents w
 
 let decode_result payload =
@@ -189,7 +196,13 @@ let decode_result payload =
         | None ->
           raise (Buf.Corrupt (Printf.sprintf "bad phase duration %S" s)))
   in
-  { r_kind; r_bytes; r_phases }
+  let r_counters =
+    Buf.read_list r (fun () ->
+        let name = Buf.read_string r in
+        let n = Buf.read_int r in
+        (name, n))
+  in
+  { r_kind; r_bytes; r_phases; r_counters }
 
 (* [Diag.Error] the exception shadows [Diag.Error] the severity; the
    annotations let type-directed disambiguation pick the severity *)
@@ -326,7 +339,12 @@ let proto () =
   {
     Worker.p_handler =
       (fun ~notify ~id:_ payload ->
-        encode_result (execute ~notify (decode_job payload)));
+        (* the compile's counters travel with the reply and are added
+           where the result is decoded (see [codec]) *)
+        let result, r_counters =
+          Obs.Metrics.detach (fun () -> execute ~notify (decode_job payload))
+        in
+        encode_result { result with r_counters });
     p_encode_exn = encode_exn;
     p_decode_exn = decode_exn;
     p_fail = (fun ~id failure -> fail_diag ~id failure);
@@ -336,5 +354,9 @@ let codec () =
   {
     Sched.c_proto = proto ();
     c_encode_job = encode_job;
-    c_decode_result = decode_result;
+    c_decode_result =
+      (fun payload ->
+        let result = decode_result payload in
+        Obs.Metrics.add_counters result.r_counters;
+        result);
   }

@@ -3,7 +3,7 @@
     The paper's factored model makes compiling a unit a pure function
     of [(source, import closure bytes)] — this module holds that job
     value, the [execute] function every backend runs (inline for
-    [Serial]/[Parallel], in a forked child for [Workers]), and the
+    [Serial], in a forked child for [Workers]), and the
     {!Pickle.Buf} codecs that move jobs, results, and exceptions across
     the process boundary.  Because [execute] is the same function
     everywhere and the codecs are lossless, the [Workers] backend is
@@ -34,11 +34,14 @@ type result = {
       (** per-phase seconds: [rehydrate], the compile phases ([parse],
           [elaborate], …) and [save]; collected even on untraced builds
           and fed to the profile store *)
+  r_counters : (string * int) list;
+      (** the compile's {!Obs.Metrics} counter increments, when another
+          process ran it ({!proto}); [[]] from {!execute} *)
 }
 
 (** Compile a job in a brand-new session.  Pure: the resulting bytes
     are a function of (source, closure) alone, identical no matter
-    which domain — or which process — ran the job.
+    which process ran the job.
 
     With [notify] and [j_split] set, the unit's static view (pickled
     via {!Sepcomp.Compile.save_static}) is handed to [notify] the
@@ -71,7 +74,9 @@ val encode_exn : exn -> string
 val decode_exn : string -> exn
 
 (** The worker protocol: [p_handler] decodes a job, runs {!execute},
-    and encodes the result; [p_fail] mints the supervision diagnostics
+    and encodes the result with the counter increments the compile made
+    ({!Obs.Metrics.detach}; a compile that fails keeps its increments
+    in the serving process); [p_fail] mints the supervision diagnostics
     — [E0701] (compiler crash, unit quarantined) and [E0702] (compile
     timeout). *)
 val proto : unit -> Worker.proto
@@ -81,5 +86,8 @@ val proto : unit -> Worker.proto
     [Driver.build] installs it on every [Remote] backend. *)
 val remote_fail : id:string -> Remote.Fleet.failure -> exn
 
-(** The scheduler codec for the [Workers] backend. *)
+(** The scheduler codec for the [Workers] and [Remote] backends.
+    Decoding a result adds its [r_counters] to this process's
+    {!Obs.Metrics}, so [--stats] counts a compile once whichever
+    process ran it. *)
 val codec : unit -> (job, result) Sched.codec

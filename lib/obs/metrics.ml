@@ -1,15 +1,10 @@
 type kind = Counter | Gauge
 
-type t = { m_name : string; m_kind : kind; m_value : int Atomic.t }
+type t = { m_name : string; m_kind : kind; mutable m_value : int }
 
-(* Values are atomics so worker domains can bump counters from inside
-   parallel builds without losing updates; the registry itself is
-   locked (registration is rare — module initialization, mostly). *)
-let lock = Mutex.create ()
 let registry : (string, t) Hashtbl.t = Hashtbl.create 32
 
 let register name kind =
-  Mutex.protect lock @@ fun () ->
   match Hashtbl.find_opt registry name with
   | Some m when m.m_kind = kind -> m
   | Some _ ->
@@ -17,7 +12,7 @@ let register name kind =
       (Printf.sprintf "Obs.Metrics: %s already registered with another kind"
          name)
   | None ->
-    let m = { m_name = name; m_kind = kind; m_value = Atomic.make 0 } in
+    let m = { m_name = name; m_kind = kind; m_value = 0 } in
     Hashtbl.add registry name m;
     m
 
@@ -25,37 +20,50 @@ let counter name = register name Counter
 let gauge name = register name Gauge
 
 let name m = m.m_name
-let value m = Atomic.get m.m_value
+let value m = m.m_value
 
-let incr m = ignore (Atomic.fetch_and_add m.m_value 1)
+let incr m = m.m_value <- m.m_value + 1
 
 let add m n =
   if n < 0 && m.m_kind = Counter then
     invalid_arg
       (Printf.sprintf "Obs.Metrics: counter %s cannot decrease" m.m_name);
-  ignore (Atomic.fetch_and_add m.m_value n)
+  m.m_value <- m.m_value + n
 
 let set m v =
   match m.m_kind with
-  | Gauge -> Atomic.set m.m_value v
+  | Gauge -> m.m_value <- v
   | Counter ->
     invalid_arg (Printf.sprintf "Obs.Metrics: %s is a counter, not a gauge" m.m_name)
 
-let find name =
-  let m = Mutex.protect lock (fun () -> Hashtbl.find_opt registry name) in
-  Option.map value m
+let find name = Option.map value (Hashtbl.find_opt registry name)
 
 let snapshot () =
-  let entries =
-    Mutex.protect lock (fun () ->
-        Hashtbl.fold (fun name m acc -> (name, Atomic.get m.m_value) :: acc)
-          registry [])
-  in
-  List.sort (fun (a, _) (b, _) -> String.compare a b) entries
+  Hashtbl.fold (fun name m acc -> (name, m.m_value) :: acc) registry []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let reset () =
-  Mutex.protect lock (fun () ->
-      Hashtbl.iter (fun _ m -> Atomic.set m.m_value 0) registry)
+let detach f =
+  let since = Hashtbl.fold (fun _ m acc -> (m, m.m_value) :: acc) registry [] in
+  let result = f () in
+  let before m = Option.value ~default:0 (List.assq_opt m since) in
+  let deltas =
+    Hashtbl.fold
+      (fun name m acc ->
+        let v0 = before m in
+        if m.m_kind = Counter && m.m_value > v0 then begin
+          let d = m.m_value - v0 in
+          m.m_value <- v0;
+          (name, d) :: acc
+        end
+        else acc)
+      registry []
+  in
+  (result, List.sort (fun (a, _) (b, _) -> String.compare a b) deltas)
+
+let add_counters deltas =
+  List.iter (fun (name, n) -> add (counter name) n) deltas
+
+let reset () = Hashtbl.iter (fun _ m -> m.m_value <- 0) registry
 
 let to_json () =
   Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) (snapshot ()))

@@ -51,6 +51,18 @@ val find : string -> int option
 (** [snapshot ()] — all registered metrics, sorted by name. *)
 val snapshot : unit -> (string * int) list
 
+(** [detach f] — run [f ()] and return its result with the counter
+    increments it made, taking them back out of this registry.  A
+    compile served for another process ships these in its reply, and
+    the requester adds them with {!add_counters} — so they are counted
+    once, where the build runs, whichever process did the work.  If
+    [f] raises, its increments stay. *)
+val detach : (unit -> 'a) -> 'a * (string * int) list
+
+(** [add_counters deltas] — add {!detach}ed increments into this
+    registry, registering counters it has not seen. *)
+val add_counters : (string * int) list -> unit
+
 (** [reset ()] — zero every value; registrations survive. *)
 val reset : unit -> unit
 

@@ -5,7 +5,6 @@ type event = {
   ev_dur_us : float;
   ev_depth : int;
   ev_pid : int; (* 0 = this process; a worker child's OS pid otherwise *)
-  ev_tid : int;
   ev_args : (string * string) list;
 }
 
@@ -15,27 +14,22 @@ type event = {
    timestamp *)
 type pending = { p_event : event; p_seq : int }
 
-(* Spans may be opened from worker domains during parallel builds: the
-   sequence counter is atomic, the completed list is locked, and the
-   nesting depth is domain-local so each domain's spans indent
-   against their own stack. *)
-let on = Atomic.make false
+let on = ref false
 let epoch = ref 0.0
-let depth_key = Domain.DLS.new_key (fun () -> ref 0)
-let next_seq = Atomic.make 0
-let lock = Mutex.create ()
+let depth = ref 0
+let next_seq = ref 0
 let completed : pending list ref = ref [] (* reverse completion order *)
 
 (* a long-running daemon traces forever: bound the buffer so it holds
    the most recent [cap] events instead of growing without limit.
    0 = unbounded (the one-shot CLI default). *)
-let cap = Atomic.make 0
-let buffered = ref 0 (* length of [completed]; guarded by [lock] *)
+let cap = ref 0
+let buffered = ref 0 (* length of [completed] *)
 
-let set_cap n = Atomic.set cap (max 0 n)
+let set_cap n = cap := max 0 n
 
-let trim_locked () =
-  let c = Atomic.get cap in
+let trim () =
+  let c = !cap in
   if c > 0 && !buffered > c then begin
     (* [completed] is newest-first: keep the first [c] *)
     let rec take n = function
@@ -46,32 +40,33 @@ let trim_locked () =
     buffered := c
   end
 
-let enabled () = Atomic.get on
+let enabled () = !on
 let epoch_s () = !epoch
 
 let now_us () = (Unix.gettimeofday () -. !epoch) *. 1e6
 
 let reset () =
-  Mutex.protect lock (fun () ->
-      completed := [];
-      buffered := 0);
-  Domain.DLS.get depth_key := 0;
-  Atomic.set next_seq 0;
+  completed := [];
+  buffered := 0;
+  depth := 0;
+  next_seq := 0;
   epoch := Unix.gettimeofday ()
 
 let enable () =
   reset ();
-  Atomic.set on true
+  on := true
 
-let disable () = Atomic.set on false
+let disable () = on := false
+
+let take_seq () =
+  let seq = !next_seq in
+  incr next_seq;
+  seq
 
 let record ev seq =
-  Mutex.protect lock (fun () ->
-      completed := { p_event = ev; p_seq = seq } :: !completed;
-      incr buffered;
-      trim_locked ())
-
-let tid () = (Domain.self () :> int)
+  completed := { p_event = ev; p_seq = seq } :: !completed;
+  incr buffered;
+  trim ()
 
 (* ------------------------------------------------------------------ *)
 (* Phase collection                                                    *)
@@ -79,27 +74,23 @@ let tid () = (Domain.self () :> int)
 (* [record_phases] captures the (name, duration) of every span that    *)
 (* completes inside its thunk even when tracing is globally off — the  *)
 (* profile store needs per-phase durations on every build, not only    *)
-(* traced ones.  The collector is domain-local, so a compile running   *)
-(* on a worker domain observes exactly its own spans.                  *)
+(* traced ones.                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let phases_key :
-    (string * float) list ref option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let phases : (string * float) list ref option ref = ref None
 
 let note_phase name dur_s =
-  match !(Domain.DLS.get phases_key) with
+  match !phases with
   | None -> ()
   | Some acc -> acc := (name, dur_s) :: !acc
 
 let record_phases f =
-  let cell = Domain.DLS.get phases_key in
-  let saved = !cell in
+  let saved = !phases in
   let acc = ref [] in
-  cell := Some acc;
+  phases := Some acc;
   match f () with
   | result ->
-    cell := saved;
+    phases := saved;
     (* aggregate repeated phase names, first-seen order *)
     let order = ref [] and sums = Hashtbl.create 8 in
     List.iter
@@ -112,17 +103,16 @@ let record_phases f =
       (List.rev !acc);
     (result, List.rev_map (fun name -> (name, Hashtbl.find sums name)) !order)
   | exception exn ->
-    cell := saved;
+    phases := saved;
     raise exn
 
 let span ?(cat = "") ?(args = []) name f =
-  let collecting = !(Domain.DLS.get phases_key) <> None in
-  let tracing = Atomic.get on in
+  let collecting = !phases <> None in
+  let tracing = !on in
   if not (tracing || collecting) then f ()
   else begin
-    let seq = if tracing then Atomic.fetch_and_add next_seq 1 else 0 in
+    let seq = if tracing then take_seq () else 0 in
     let start = now_us () in
-    let depth = Domain.DLS.get depth_key in
     let d = !depth in
     depth := d + 1;
     let finish () =
@@ -138,7 +128,6 @@ let span ?(cat = "") ?(args = []) name f =
             ev_dur_us = dur_us;
             ev_depth = d;
             ev_pid = 0;
-            ev_tid = tid ();
             ev_args = args;
           }
           seq
@@ -153,17 +142,16 @@ let span ?(cat = "") ?(args = []) name f =
   end
 
 let instant ?(cat = "") ?(args = []) name =
-  if Atomic.get on then begin
-    let seq = Atomic.fetch_and_add next_seq 1 in
+  if !on then begin
+    let seq = take_seq () in
     record
       {
         ev_name = name;
         ev_cat = cat;
         ev_start_us = now_us ();
         ev_dur_us = 0.0;
-        ev_depth = !(Domain.DLS.get depth_key);
+        ev_depth = !depth;
         ev_pid = 0;
-        ev_tid = tid ();
         ev_args = args;
       }
       seq
@@ -171,9 +159,9 @@ let instant ?(cat = "") ?(args = []) name =
 
 (* a span whose start was observed out of band (a worker job the
    supervisor watched die): recorded after the fact, ending now *)
-let record_span ?(cat = "") ?(args = []) ~start_s name =
-  if Atomic.get on then begin
-    let seq = Atomic.fetch_and_add next_seq 1 in
+let record_span ?(cat = "") ?(args = []) ?(pid = 0) ~start_s name =
+  if !on then begin
+    let seq = take_seq () in
     let start_us = (start_s -. !epoch) *. 1e6 in
     record
       {
@@ -182,21 +170,19 @@ let record_span ?(cat = "") ?(args = []) ~start_s name =
         ev_start_us = start_us;
         ev_dur_us = Float.max 0.0 (now_us () -. start_us);
         ev_depth = 0;
-        ev_pid = 0;
-        ev_tid = tid ();
+        ev_pid = pid;
         ev_args = args;
       }
       seq
   end
 
 let events () =
-  let pending = Mutex.protect lock (fun () -> !completed) in
   List.sort
     (fun a b ->
       match compare a.p_event.ev_start_us b.p_event.ev_start_us with
       | 0 -> compare a.p_seq b.p_seq
       | c -> c)
-    pending
+    !completed
   |> List.map (fun p -> p.p_event)
 
 (* ------------------------------------------------------------------ *)
@@ -217,20 +203,15 @@ let wire_event ev =
       ("ts", Json.Float ev.ev_start_us);
       ("dur", Json.Float ev.ev_dur_us);
       ("depth", Json.Int ev.ev_depth);
-      ("tid", Json.Int ev.ev_tid);
       ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) ev.ev_args));
     ]
 
 (* remove and serialize every completed event (oldest first); [""] when
    there is nothing to ship *)
 let drain_wire () =
-  let drained =
-    Mutex.protect lock (fun () ->
-        let evs = !completed in
-        completed := [];
-        buffered := 0;
-        evs)
-  in
+  let drained = !completed in
+  completed := [];
+  buffered := 0;
   match drained with
   | [] -> ""
   | evs ->
@@ -250,7 +231,7 @@ let int_of = function Some (Json.Int n) -> n | _ -> 0
 let str_of = function Some (Json.String s) -> s | _ -> ""
 
 let inject ~pid ~offset_us wire =
-  if wire = "" || not (Atomic.get on) then 0
+  if wire = "" || not !on then 0
   else
     match Json.parse wire with
     | Json.List items ->
@@ -273,10 +254,9 @@ let inject ~pid ~offset_us wire =
               ev_dur_us = num_of (Json.member "dur" item);
               ev_depth = int_of (Json.member "depth" item);
               ev_pid = pid;
-              ev_tid = int_of (Json.member "tid" item);
               ev_args = args;
             }
-            (Atomic.fetch_and_add next_seq 1))
+            (take_seq ()))
         items;
       List.length items
     | _ -> 0
@@ -295,7 +275,8 @@ let chrome_event ev =
       ("ts", Json.Float ev.ev_start_us);
       ("dur", Json.Float ev.ev_dur_us);
       ("pid", Json.Int (if ev.ev_pid = 0 then 1 else ev.ev_pid));
-      ("tid", Json.Int (ev.ev_tid + 1));
+      (* one thread of control per process *)
+      ("tid", Json.Int 1);
     ]
   in
   let args =

@@ -8,12 +8,11 @@
     file in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto})
     and {!pp_tree} as an indented tree with durations for terminals.
 
-    Spans carry a (pid, tid) pair: tid is the recording domain, pid 0
-    means "this process".  Worker children record into their own buffer
+    Spans carry a pid: 0 means "this process".  Worker children record into their own buffer
     and ship it to the supervisor over the frame IPC ({!drain_wire} /
     {!inject}), which re-bases their clock by the epoch offset
     exchanged at the handshake and tags them with the child's OS pid —
-    so one Chrome trace spans the parent, its domains, and every child,
+    so one Chrome trace spans the parent and every child,
     including crashed ones. *)
 
 type event = {
@@ -23,7 +22,6 @@ type event = {
   ev_dur_us : float;
   ev_depth : int;  (** nesting depth at entry; 0 = top level *)
   ev_pid : int;  (** 0 = this process; a worker child's OS pid *)
-  ev_tid : int;  (** the recording domain's id *)
   ev_args : (string * string) list;
 }
 
@@ -51,21 +49,29 @@ val epoch_s : unit -> float
 (** [span ?cat ?args name f] — run [f ()] inside a timed span.  The
     span is recorded even when [f] raises (and the exception is
     re-raised).  When tracing is disabled this is exactly [f ()]
-    (unless a {!record_phases} collector is active on this domain). *)
+    (unless a {!record_phases} collector is active). *)
 val span : ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
 (** [instant ?cat ?args name] — a zero-duration marker. *)
 val instant : ?cat:string -> ?args:(string * string) list -> string -> unit
 
-(** [record_span ?cat ?args ~start_s name f] — record a span after the
-    fact: it started at [start_s] (absolute [Unix.gettimeofday]
+(** [record_span ?cat ?args ?pid ~start_s name] — record a span after
+    the fact: it started at [start_s] (absolute [Unix.gettimeofday]
     seconds) and ends now.  Used by the worker supervisor to stand in a
-    [truncated] span for a job whose child died before flushing. *)
+    [truncated] span for a job whose child died before flushing; [pid]
+    (default 0, this process) puts it on that child's track, so the
+    stand-ins of jobs that overlapped in different children never
+    straddle each other. *)
 val record_span :
-  ?cat:string -> ?args:(string * string) list -> start_s:float -> string -> unit
+  ?cat:string ->
+  ?args:(string * string) list ->
+  ?pid:int ->
+  start_s:float ->
+  string ->
+  unit
 
 (** [record_phases f] — run [f ()] collecting the (name, seconds) of
-    every span that completes inside it on this domain, {e whether or
+    every span that completes inside it, {e whether or
     not} tracing is enabled; repeated names are summed.  Collectors
     nest (the innermost wins).  This is how compile jobs report
     per-phase durations to the profile store on untraced builds. *)
@@ -91,7 +97,7 @@ val inject : pid:int -> offset_us:float -> string -> int
 (** [to_chrome ()] — the collected trace as a Chrome [trace_event]
     JSON object: [{"traceEvents": [...], "displayTimeUnit": "ms"}],
     one complete ("ph":"X") event per span.  Events carry their
-    process's pid (1 for this process) and domain tid. *)
+    process's pid (1 for this process) and tid 1. *)
 val to_chrome : unit -> Json.t
 
 (** [write_chrome path] — [to_chrome], serialized to [path]. *)

@@ -22,7 +22,7 @@ type t
     [Cache.ops (Cache.create fs)]); omitted, the client is
     remote-only.  [tick] runs inside every wait loop — the in-process
     chaos harness uses it to pump the service's reactor from the same
-    domain.  [timeout_s] bounds each remote operation (default 5 s). *)
+    loop.  [timeout_s] bounds each remote operation (default 5 s). *)
 val create :
   ?local:Cache.ops ->
   ?tick:(unit -> unit) ->

@@ -12,11 +12,11 @@
 
     Two modes: [Pool cfg] hosts a supervised {!Worker} pool (the
     production shape — crashes and hangs become E0701/E0702 exactly as
-    under [--workers], encoded back over the wire), driven
+    under [--jobs], encoded back over the wire), driven
     nonblockingly from the socket reactor via [Worker.pump].  [Inline]
     compiles synchronously inside the reactor turn — forkless, for
     in-process tests where the chaos harness pumps client and server
-    from one domain (fork is unsafe once OCaml domains exist). *)
+    from one loop. *)
 
 type mode =
   | Inline

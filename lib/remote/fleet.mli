@@ -6,7 +6,7 @@
     {!Worker.event} as the event vocabulary — so the [Remote] backend
     is the [Workers] backend pointed at sockets.  Underneath, it keeps
     one nonblocking connection per executor (dial, HELLO, job traffic
-    all multiplexed from the calling domain, no threads), and it
+    all multiplexed from the calling process, no threads), and it
     survives the network:
 
     - {b per-job deadlines}: a dispatched job that has not answered

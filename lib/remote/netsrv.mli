@@ -6,7 +6,7 @@
     cache service only supply a message handler.  [step] performs one
     bounded reactor turn; callers loop it ([run]) or hand-pump it from
     a test in the same process, which is how the chaos harness gets a
-    deterministic single-domain interleaving of client and server.
+    deterministic single-process interleaving of client and server.
 
     HELLO gating is built in: the first frame on every connection must
     be a {!Protocol.k_hello} carrying exactly [version]; anything else

@@ -1,21 +1,29 @@
 type backend =
   | Serial
-  | Parallel of int
   | Workers of Worker.config
   | Remote of Remote.Fleet.config
 
 let backend_name = function
   | Serial -> "serial"
-  | Parallel n -> Printf.sprintf "parallel-%d" n
   | Workers cfg -> Printf.sprintf "workers-%d" (max 1 cfg.Worker.w_jobs)
   | Remote cfg ->
     Printf.sprintf "remote-%d" (List.length cfg.Remote.Fleet.r_execs)
 
 let default_jobs () = Domain.recommended_domain_count ()
 
+let of_jobs ?worker_timeout_s n =
+  if n <= 1 then Serial
+  else
+    let cfg = Worker.default_config ~jobs:n () in
+    Workers
+      {
+        cfg with
+        Worker.w_timeout_s =
+          Option.value ~default:cfg.Worker.w_timeout_s worker_timeout_s;
+      }
+
 let jobs = function
   | Serial -> 1
-  | Parallel n -> max 1 n
   | Workers cfg -> max 1 cfg.Worker.w_jobs
   | Remote cfg ->
     (* a degraded fleet still runs one local compile at a time *)
@@ -32,8 +40,8 @@ type ('job, 'result) codec = {
 
 (* the pipelined static/codegen phase split: [sp_execute] replaces
    [execute] and may call [notify] once, mid-job, with the unit's
-   pickled static view; [sp_on_static] consumes that payload on the
-   calling domain, after which the node's dependents become
+   pickled static view; [sp_on_static] consumes that payload in the
+   calling process, after which the node's dependents become
    dispatchable without waiting for the job's result *)
 type ('job, 'result) split = {
   sp_execute : notify:(string -> unit) -> 'job -> 'result;
@@ -47,8 +55,7 @@ type 'result outcome =
 
 type slots = { sl_jobs : int; sl_busy_s : float array; sl_wall_s : float }
 
-(* the most recent run's slot accounting; builds are driven from the
-   main domain, so a plain ref suffices *)
+(* the most recent run's slot accounting *)
 let last_slots_ref : slots option ref = ref None
 let last_slots () = !last_slots_ref
 
@@ -70,7 +77,7 @@ module Ready = Set.Make (struct
     | c -> c
 end)
 
-(* Per-node scheduling state, driven entirely by the calling domain.
+(* Per-node scheduling state, driven entirely by the calling process.
    Two gates: [ns_staticw] counts dependencies whose *static* view is
    still unreleased and gates prepare/dispatch; [ns_waiting] counts
    unfinished dependencies and gates complete/settle.  Without the
@@ -106,7 +113,7 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
   (* bounded retry with exponential backoff around every node callback:
      transient faults (a flaky file system, a racing process) get
      [retries] more chances before poisoning the node's cone.  The sleep
-     is capped and jittered — several domains retrying the same flaky
+     is capped and jittered — several builds retrying the same flaky
      resource must not wake in lock-step and collide again. *)
   let attempt f x =
     let bo = Support.Backoff.create ~base_s:backoff_s ~cap_s:backoff_cap_s () in
@@ -132,11 +139,11 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
   let workers = min (jobs backend) (max 1 (List.length order)) in
   Obs.Metrics.set g_jobs workers;
   (* per-slot busy time: how long each execution slot held a job, for
-     the profile report's scheduler-efficiency figure.  The Workers
-     backend reads it off the pool instead. *)
+     the profile report's scheduler-efficiency figure.  Serial runs
+     time their one inline slot; the pooled backends read it off the
+     pool. *)
   let run_t0 = Unix.gettimeofday () in
-  let busy = ref (Array.make workers 0.) in
-  let bump i d = !busy.(i) <- !busy.(i) +. Float.max 0. d in
+  let busy = ref [| 0. |] in
   let states : (string, 'r node_state) Hashtbl.t =
     Hashtbl.create (List.length order)
   in
@@ -172,67 +179,24 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
   let push node st =
     ready := Ready.add (st.ns_priority, st.ns_seq, node) !ready
   in
-  (* jobs handed to a slot (domain or worker process) and not yet
+  (* jobs handed to a slot (worker process or executor) and not yet
      resolved; the pump dispatches from the ready queue only while this
      is below [workers], so late-arriving high-priority nodes are never
      stuck behind a long FIFO of already-queued low-priority ones *)
   let inflight = ref 0 in
-  (* worker plumbing — only used by the parallel backend *)
-  let lock = Mutex.create () in
-  let work_ready = Condition.create () in
-  let result_ready = Condition.create () in
-  let job_queue = Queue.create () in
-  let event_queue = Queue.create () in
-  let quit = ref false in
-  (* the Workers backend routes jobs to a process pool created at the
+  (* the pooled backends route jobs to a process pool created at the
      bottom of this function; [start] is mutually recursive with the
      bookkeeping, so it reaches the pool through this knot *)
-  let worker_mode =
-    match backend with Workers _ | Remote _ -> true | Serial | Parallel _ -> false
-  in
   let pool_submit =
     ref (fun _node _job -> invalid_arg "Sched.run: worker pool not started")
   in
-  let worker_loop slot =
-    let rec loop () =
-      Mutex.lock lock;
-      while Queue.is_empty job_queue && not !quit do
-        Condition.wait work_ready lock
-      done;
-      if Queue.is_empty job_queue then Mutex.unlock lock
-      else begin
-        let node, job = Queue.pop job_queue in
-        Mutex.unlock lock;
-        (* the static notification crosses back to the calling domain as
-           an event — [sp_on_static] touches shared state and must not
-           run here *)
-        let notify payload =
-          Mutex.protect lock (fun () ->
-              Queue.push (node, `Static payload) event_queue;
-              Condition.signal result_ready)
-        in
-        let t0 = Unix.gettimeofday () in
-        let result =
-          match exec ~notify job with
-          | result -> Ok result
-          | exception exn -> Error exn
-        in
-        bump slot (Unix.gettimeofday () -. t0);
-        Mutex.protect lock (fun () ->
-            Queue.push (node, `Result result) event_queue;
-            Condition.signal result_ready);
-        loop ()
-      end
-    in
-    loop ()
-  in
-  (* ---- main-domain scheduling (shared by all backends) ---- *)
+  (* ---- scheduling (shared by all backends) ---- *)
   (* which failed root a skipped node blames.  Evaluated only once every
      dependency has finished, so it is a function of the final outcome
      classes alone — the earliest failed root in caller order — and can
      never depend on completion timing.  (First-poisoner-wins would
      report whichever failure happened to land first, which differs
-     between serial and parallel runs.) *)
+     between serial and pooled runs.) *)
   let skip_root node =
     let best = ref None in
     List.iter
@@ -319,7 +283,7 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
   (* an exception the caller declared fatal (a signal-driven interrupt,
      not a unit failure) aborts the whole run immediately — even under
      [keep_going], which only shields per-unit failures.  The raise
-     unwinds through the Fun.protect below, so pools still join. *)
+     unwinds through the Fun.protect below, so pools still shut down. *)
   and fail node exn =
     if fatal exn then raise exn else finish node (Failed exn)
   and settle node result =
@@ -353,36 +317,28 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
     | Done result ->
       Obs.Metrics.incr m_inline;
       arrive node (Ok result)
-    | Run job ->
-      if worker_mode then begin
-        (* even a 1-worker pool goes out of process: isolation, not
-           parallelism, is what this backend buys *)
-        Obs.Metrics.incr m_dispatched;
-        incr inflight;
-        !pool_submit node job
-      end
-      else if workers <= 1 then begin
+    | Run job -> (
+      match backend with
+      | Serial ->
         let t0 = Unix.gettimeofday () in
         let result =
           match exec ~notify:(fun payload -> on_static node payload) job with
           | result -> Ok result
           | exception exn -> Error exn
         in
-        bump 0 (Unix.gettimeofday () -. t0);
+        !busy.(0) <- !busy.(0) +. Float.max 0. (Unix.gettimeofday () -. t0);
         arrive node result
-      end
-      else begin
+      | Workers _ | Remote _ ->
+        (* even a 1-worker pool goes out of process: isolation, not
+           parallelism, is what it buys *)
         Obs.Metrics.incr m_dispatched;
         incr inflight;
-        Mutex.protect lock (fun () ->
-            Queue.push (node, job) job_queue;
-            Condition.signal work_ready)
-      end
+        !pool_submit node job)
   in
   (* the pump: hand the best ready node to a free slot, repeatedly.
      Inline execution (Serial) resolves synchronously, so this loop
-     alone drives a whole serial build; the parallel backends re-pump
-     after every drained event. *)
+     alone drives a whole serial build; the pooled backends re-pump
+     after every event. *)
   let rec pump () =
     if (not (Ready.is_empty !ready)) && !inflight < workers then begin
       let ((_, _, node) as top) = Ready.min_elt !ready in
@@ -425,7 +381,7 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
           (fun () -> Remote.Fleet.next_event fleet),
           (fun () -> Remote.Fleet.slot_busy fleet),
           fun () -> Remote.Fleet.shutdown fleet )
-      | Serial | Parallel _ -> assert false
+      | Serial -> assert false
     in
     pool_submit := (fun node job -> submit node (codec.c_encode_job job));
     Fun.protect ~finally:teardown @@ fun () ->
@@ -444,42 +400,7 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
       pump ()
     done;
     busy := slot_busy_of ()
-  | Serial | Parallel _ ->
-    if workers <= 1 then pump ()
-    else begin
-      let pool =
-        List.init workers (fun i -> Domain.spawn (fun () -> worker_loop i))
-      in
-      Fun.protect ~finally:(fun () ->
-          Mutex.protect lock (fun () ->
-              quit := true;
-              Condition.broadcast work_ready);
-          List.iter Domain.join pool)
-      @@ fun () ->
-      pump ();
-      while !remaining > 0 do
-        let batch =
-          Mutex.protect lock (fun () ->
-              while Queue.is_empty event_queue do
-                Condition.wait result_ready lock
-              done;
-              let batch = ref [] in
-              while not (Queue.is_empty event_queue) do
-                batch := Queue.pop event_queue :: !batch
-              done;
-              List.rev !batch)
-        in
-        List.iter
-          (fun (node, event) ->
-            match event with
-            | `Static payload -> on_static node payload
-            | `Result res ->
-              decr inflight;
-              arrive node res)
-          batch;
-        pump ()
-      done
-    end);
+  | Serial -> pump ());
   last_slots_ref :=
     Some
       {

@@ -1,4 +1,4 @@
-(** DAG-aware wavefront scheduler over an OCaml 5 domain pool.
+(** DAG-aware wavefront scheduler over a pool of worker processes.
 
     The paper makes compiling a unit a pure function of
     [(source, import interface pids)] — which is exactly the licence a
@@ -9,9 +9,9 @@
     completion order:
 
     - node work is split into three phases — [prepare] and [complete]
-      always run on the calling domain (they may touch shared, unlocked
-      state such as the manager's session), while [execute] may run on
-      a worker domain and must only touch the job value it was given;
+      always run in the calling process (they may touch shared state
+      such as the manager's session), while [execute] may run in a
+      worker process and must only touch the job value it was given;
     - results are reported back as they arrive, but the final outcome
       list is in the caller's node order;
     - failures are deterministic: every node whose dependencies
@@ -24,31 +24,33 @@
     staleness checks and cache probes into [prepare], isolated compile
     sessions into [execute], and session merging into [complete]. *)
 
-(** How to run a build.  [Serial] executes everything on the calling
-    domain (no domains are spawned); [Parallel n] uses [n] worker
-    domains ([n <= 1] degrades to [Serial]); [Workers cfg] runs every
-    [execute] in a supervised child {e process} from a pool of
-    [cfg.w_jobs] ({!Worker}) — crash isolation, per-job timeouts, and
+(** How to run a build.  [Serial] executes everything inline in the
+    calling process.  [Workers cfg] runs every [execute] in a
+    supervised child {e process} from a pool of [cfg.w_jobs]
+    ({!Worker}) — parallelism, crash isolation, per-job timeouts, and
     quarantine, at the price of serializing jobs and results through a
-    {!codec}.  [Workers] never spawns domains (forking with live
-    domains is unsafe); the pool is multiplexed with [select] from the
-    calling domain.  [Remote cfg] dispatches the same encoded jobs to a
-    fleet of executor daemons over sockets ({!Remote.Fleet}) — per-job
+    {!codec}; the pool is multiplexed with [select] from the calling
+    process.  [Remote cfg] dispatches the same encoded jobs to a fleet
+    of executor daemons over sockets ({!Remote.Fleet}) — per-job
     deadlines, retry, hedged re-dispatch, quarantine, and graceful
     degradation to local execution when every executor is gone; like
-    [Workers], it multiplexes from the calling domain and requires the
-    [codec]. *)
+    [Workers], it requires the [codec]. *)
 type backend =
   | Serial
-  | Parallel of int
   | Workers of Worker.config
   | Remote of Remote.Fleet.config
 
 val backend_name : backend -> string
 
 (** The machine's recommended worker count
-    ({!Domain.recommended_domain_count}). *)
+    ({!Domain.recommended_domain_count}, i.e. its core count). *)
 val default_jobs : unit -> int
+
+(** [of_jobs ?worker_timeout_s n] — the local backend for [n] jobs:
+    [Serial] when [n <= 1], otherwise [Workers] with [n] processes
+    ({!Worker.default_config}; [worker_timeout_s] overrides its per-job
+    budget).  This is what [--jobs] means everywhere. *)
+val of_jobs : ?worker_timeout_s:float -> int -> backend
 
 (** [jobs backend] — the worker count a backend stands for ([Serial]
     is 1). *)
@@ -75,8 +77,8 @@ type ('job, 'result) codec = {
     is all a dependent needs to start; the codeUnit is only consumed at
     link time.  With a split installed, [sp_execute] replaces [execute]
     and may call [notify payload] once, mid-job, as soon as the static
-    part is done; the scheduler routes the payload back to the calling
-    domain, runs [sp_on_static node payload] there (register the static
+    part is done; the scheduler runs [sp_on_static node payload] in the
+    calling process (register the static
     view wherever [prepare] will look for it), and from that moment
     treats the node's static gate as open — dependents dispatch and
     overlap their compiles with the dependency's code generation.
@@ -100,9 +102,9 @@ type 'result outcome =
   | Failed of exn  (** [prepare], [execute] or [complete] raised *)
   | Skipped of string  (** a dependency failed; names the culprit *)
 
-(** Slot accounting for one run: how long each execution slot (domain,
-    worker process, or the calling domain for [Serial]) spent holding a
-    job versus the run's wall time.  [busy / (jobs * wall)] is the
+(** Slot accounting for one run: how long each execution slot (worker
+    process, executor slot, or the calling process for [Serial]) spent
+    holding a job versus the run's wall time.  [busy / (jobs * wall)] is the
     scheduler-efficiency figure the profile report prints. *)
 type slots = {
   sl_jobs : int;
@@ -110,7 +112,7 @@ type slots = {
   sl_wall_s : float;
 }
 
-(** The accounting of the most recent {!run} on this domain, if any. *)
+(** The accounting of the most recent {!run}, if any. *)
 val last_slots : unit -> slots option
 
 (** [run ?retries ?backoff_s ?retryable backend ~order ~deps ~prepare
@@ -123,7 +125,7 @@ val last_slots : unit -> slots option
     (default 0), sleeping [min backoff_cap_s (backoff_s * 2^attempt)]
     seconds scaled by a uniform jitter in [0.5, 1.5) in between —
     bounded recovery from transient faults without poisoning the node's
-    dependent cone, and without several domains retrying a shared flaky
+    dependent cone, and without several builds retrying a shared flaky
     resource in lock-step.
 
     The [Workers] backend additionally requires [codec]
@@ -134,9 +136,10 @@ val last_slots : unit -> slots option
     dependent cone, or [Pool_down] aborting the build.
 
     For each node, once its dependencies completed: [prepare node] runs
-    on the calling domain; a [Run job] is handed to a worker which runs
-    [execute job]; the result (from the worker or directly from
-    [Done]) is passed to [complete node result] on the calling domain.
+    in the calling process; a [Run job] runs [execute job] inline
+    ([Serial]) or is handed to a worker; the result (from [execute] or
+    directly from [Done]) is passed to [complete node result] in the
+    calling process.
     Completion order across independent nodes is unspecified — both
     callbacks must not depend on it.
 
@@ -151,8 +154,8 @@ val last_slots : unit -> slots option
     demoted to a [Failed] outcome: they abort the run immediately and
     re-raise, {e even under} [keep_going].  This is how a signal-driven
     interrupt cuts through a keep-going build instead of being recorded
-    as one more unit failure.  Worker pools and domain pools are still
-    shut down on the way out.
+    as one more unit failure.  Worker pools are still shut down on the
+    way out.
 
     [priority] (default: constant [0.]) ranks the ready queue: among
     dispatchable nodes the one with the {e highest} priority starts

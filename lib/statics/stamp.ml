@@ -3,14 +3,16 @@ type t =
   | Local of int
   | External of Digestkit.Pid.t * int
 
-(* Atomic so concurrent elaborations on separate domains never mint
-   the same Local stamp twice within one domain's session; raw Local
-   values never reach bin files (they are alpha-converted at export),
-   so the shared counter does not threaten reproducibility. *)
-let counter = Atomic.make 0
+(* raw Local values never reach bin files (they are alpha-converted at
+   export), so the process-wide counter does not threaten
+   reproducibility *)
+let counter = ref 0
 
-let fresh () = Local (Atomic.fetch_and_add counter 1 + 1)
-let local_counter () = Atomic.get counter
+let fresh () =
+  incr counter;
+  Local !counter
+
+let local_counter () = !counter
 
 let compare a b =
   match (a, b) with

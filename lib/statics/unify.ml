@@ -2,12 +2,11 @@ open Types
 
 exception Unify_error of ty * ty
 
-(* atomic: unification variables are per-compilation, but concurrent
-   compiles on separate domains share this id spring *)
-let tyvar_counter = Atomic.make 0
+let tyvar_counter = ref 0
 
 let fresh_tyvar ~level () =
-  Tvar (ref (Unbound { id = Atomic.fetch_and_add tyvar_counter 1 + 1; level }))
+  incr tyvar_counter;
+  Tvar (ref (Unbound { id = !tyvar_counter; level }))
 
 let rec head_normalize ctx ty =
   match repr ty with

@@ -1,14 +1,9 @@
 type t = { id : int; name : string }
 
-(* The intern table is shared by every domain (symbols must have one
-   identity process-wide), so lookups and insertions are serialized.
-   The critical section is a hash lookup plus, rarely, an insert. *)
-let lock = Mutex.create ()
 let table : (string, t) Hashtbl.t = Hashtbl.create 1024
 let next = ref 0
 
 let intern name =
-  Mutex.protect lock @@ fun () ->
   match Hashtbl.find_opt table name with
   | Some sym -> sym
   | None ->
@@ -24,23 +19,17 @@ let compare a b = Int.compare a.id b.id
 let hash sym = sym.id
 let pp ppf sym = Format.pp_print_string ppf sym.name
 
-(* The fresh counter is domain-local: a compilation running on a worker
-   domain numbers its generated binders independently of every other
-   domain, so two concurrent compiles cannot perturb each other's
-   sequences.  Fresh names only need to be distinct *within* one
-   compiled term (binders never cross unit boundaries); cross-domain
-   reuse of a name resolves to the same interned symbol and is
-   harmless. *)
-let fresh_key = Domain.DLS.new_key (fun () -> ref 0)
+(* Fresh names only need to be distinct *within* one compiled term
+   (binders never cross unit boundaries), so each compile numbers its
+   generated binders from zero (see [with_fresh_scope]). *)
+let counter = ref 0
 
 let fresh base =
-  let counter = Domain.DLS.get fresh_key in
   incr counter;
   (* '%' cannot appear in a source identifier, so this never collides. *)
   intern (Printf.sprintf "%s%%%d" base !counter)
 
 let with_fresh_scope f =
-  let counter = Domain.DLS.get fresh_key in
   let saved = !counter in
   counter := 0;
   Fun.protect ~finally:(fun () -> counter := saved) f

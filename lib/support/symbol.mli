@@ -23,17 +23,15 @@ val pp : Format.formatter -> t -> unit
 
 (** [fresh base] interns a symbol guaranteed not to collide with any
     source-written identifier, by embedding a serial number.  Used for
-    generated bindings in the elaborator and lambda translation.  The
-    serial counter is domain-local, so concurrent compilations on
-    separate domains draw independent sequences. *)
+    generated bindings in the elaborator and lambda translation. *)
 val fresh : string -> t
 
-(** [with_fresh_scope f] runs [f] with this domain's fresh-symbol
-    counter reset to zero, restoring it afterwards.  Wrapping the
+(** [with_fresh_scope f] runs [f] with the fresh-symbol counter reset
+    to zero, restoring it afterwards.  Wrapping the
     compilation of one unit in a scope makes every generated name a
     deterministic function of the unit alone — the property that makes
     bin files byte-reproducible regardless of compilation order or
-    which domain ran the compile. *)
+    which process ran the compile. *)
 val with_fresh_scope : (unit -> 'a) -> 'a
 
 (** Finite maps and sets keyed by symbols. *)

@@ -151,7 +151,6 @@ let fault_name = function
 type op = { op_kind : string; op_path : string; op_fault : string option }
 
 type injector = {
-  i_lock : Mutex.t;
   mutable i_log : op list;  (** newest first *)
   mutable i_reads : int;
   mutable i_writes : int;
@@ -162,10 +161,10 @@ type injector = {
   i_plan : fault list;
 }
 
-let oplog inj = Mutex.protect inj.i_lock (fun () -> List.rev inj.i_log)
-let writes inj = Mutex.protect inj.i_lock (fun () -> inj.i_writes)
-let faults_fired inj = Mutex.protect inj.i_lock (fun () -> inj.i_fired)
-let crashed inj = Mutex.protect inj.i_lock (fun () -> inj.i_crashed)
+let oplog inj = List.rev inj.i_log
+let writes inj = inj.i_writes
+let faults_fired inj = inj.i_fired
+let crashed inj = inj.i_crashed
 
 (* flip one byte of [content], deterministically from [salt] *)
 let corrupt_content ~salt content =
@@ -180,7 +179,6 @@ let corrupt_content ~salt content =
 let faulty ?(only = fun _ -> true) ~plan fs =
   let inj =
     {
-      i_lock = Mutex.create ();
       i_log = [];
       i_reads = 0;
       i_writes = 0;
@@ -195,31 +193,32 @@ let faulty ?(only = fun _ -> true) ~plan fs =
      plan schedules for it, logging either way.  Once a crash fault has
      fired the "process" is dead: nothing further reaches the backing
      store — every subsequent operation just raises {!Crash} again. *)
+  let alive op path =
+    if inj.i_crashed then raise (Crash { crash_op = op; crash_path = path })
+  in
   let step kind path pick =
-    Mutex.protect inj.i_lock (fun () ->
-        if inj.i_crashed then
-          raise (Crash { crash_op = kind; crash_path = path });
-        let fault =
-          if only path then begin
-            let nth = pick () in
-            List.find_opt
-              (fun f ->
-                match (kind, f) with
-                | "write", (Write_fail n | Write_torn (n, _) | Write_crash (n, _))
-                  -> n = nth
-                | "read", Read_corrupt n -> n = nth
-                | "remove", Remove_fail n -> n = nth
-                | "rename", Rename_fail n -> n = nth
-                | _ -> false)
-              inj.i_plan
-          end
-          else None
-        in
-        if fault <> None then inj.i_fired <- inj.i_fired + 1;
-        inj.i_log <-
-          { op_kind = kind; op_path = path; op_fault = Option.map fault_name fault }
-          :: inj.i_log;
-        fault)
+    alive kind path;
+    let fault =
+      if only path then begin
+        let nth = pick () in
+        List.find_opt
+          (fun f ->
+            match (kind, f) with
+            | "write", (Write_fail n | Write_torn (n, _) | Write_crash (n, _)) ->
+              n = nth
+            | "read", Read_corrupt n -> n = nth
+            | "remove", Remove_fail n -> n = nth
+            | "rename", Rename_fail n -> n = nth
+            | _ -> false)
+          inj.i_plan
+      end
+      else None
+    in
+    if fault <> None then inj.i_fired <- inj.i_fired + 1;
+    inj.i_log <-
+      { op_kind = kind; op_path = path; op_fault = Option.map fault_name fault }
+      :: inj.i_log;
+    fault
   in
   let wrapped =
     {
@@ -252,14 +251,12 @@ let faulty ?(only = fun _ -> true) ~plan fs =
           | Some (Write_crash (_, k)) ->
             (* the dying process got k bytes onto disk, then vanished *)
             fs.fs_write path (String.sub content 0 (min k (String.length content)));
-            Mutex.protect inj.i_lock (fun () -> inj.i_crashed <- true);
+            inj.i_crashed <- true;
             raise (Crash { crash_op = "write"; crash_path = path })
           | _ -> fs.fs_write path content);
       fs_mtime =
         (fun path ->
-          Mutex.protect inj.i_lock (fun () ->
-              if inj.i_crashed then
-                raise (Crash { crash_op = "mtime"; crash_path = path }));
+          alive "mtime" path;
           fs.fs_mtime path);
       fs_remove =
         (fun path ->
@@ -289,9 +286,7 @@ let faulty ?(only = fun _ -> true) ~plan fs =
           | _ -> fs.fs_rename src dst);
       fs_list =
         (fun () ->
-          Mutex.protect inj.i_lock (fun () ->
-              if inj.i_crashed then
-                raise (Crash { crash_op = "list"; crash_path = "" }));
+          alive "list" "";
           fs.fs_list ());
     }
   in

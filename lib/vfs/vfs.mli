@@ -92,8 +92,8 @@ type injector
 (** [faulty ?only ~plan fs] — a wrapper over [fs] that injects the
     failures scheduled in [plan], deterministically: the same plan over
     the same operation sequence fires the same faults.  [only] filters
-    which paths are counted and eligible (default: all).  Thread-safe;
-    every operation is appended to the op-log. *)
+    which paths are counted and eligible (default: all).  Every
+    operation is appended to the op-log. *)
 val faulty : ?only:(string -> bool) -> plan:fault list -> fs -> fs * injector
 
 (** The operations seen so far, oldest first. *)

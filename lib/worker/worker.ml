@@ -417,7 +417,7 @@ let salvage t i c ~detail =
             ("detail", detail);
             ("pid", string_of_int c.ch_pid);
           ]
-        ~start_s:c.ch_job_t0 "build.compile_job"
+        ~pid:c.ch_pid ~start_s:c.ch_job_t0 "build.compile_job"
 
 (* the child's pipe hit EOF (or a read error): it died on its own *)
 let on_eof t i c =

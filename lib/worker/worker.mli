@@ -42,12 +42,10 @@
     clock epoch so the supervisor corrects timestamps before merging —
     one Chrome trace covers the parent and every child.  A child that
     dies mid-job contributes a synthetic span marked [truncated]
-    covering dispatch-to-death.
+    covering dispatch-to-death, on the dead child's track.
 
-    The pool must be driven from the main domain of a process with no
-    other domains running (forking with live domains is unsafe); the
-    [Workers] scheduler backend guarantees this by multiplexing the
-    pool with [select] instead of spawning a domain pool. *)
+    The pool is single-threaded: the [Workers] scheduler backend
+    multiplexes it with [select] from the building process. *)
 
 (** Injected child misbehaviour, for testing the supervisor: what the
     child does when it receives (or, for [Chaos_nostart], before it
@@ -101,7 +99,7 @@ type failure =
     exit code 4. *)
 exception Pool_down of string
 
-(** How the generic supervisor talks to the caller's domain:
+(** How the generic supervisor talks to its caller:
     [p_handler] runs {e in the child} (request payload to response
     payload; exceptions become error replies via [p_encode_exn]);
     [p_decode_exn] rebuilds the exception {e in the parent};

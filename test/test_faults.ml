@@ -14,7 +14,7 @@ module Driver = Irm.Driver
 module Pid = Digestkit.Pid
 
 let policies = [ Driver.Timestamp; Driver.Cutoff; Driver.Selective ]
-let backends = [ Driver.Serial; Driver.Parallel 3 ]
+let backends = [ Driver.Serial; Sched.of_jobs 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Vfs.faulty mechanics                                                *)

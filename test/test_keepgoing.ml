@@ -204,7 +204,7 @@ let test_deterministic_across_backends () =
               Alcotest.(check (list string))
                 (label ^ ": diagnostics byte-identical")
                 (rendered_diags reference) (rendered_diags stats))
-            [ Driver.Serial; Driver.Parallel 4 ])
+            [ Driver.Serial; Sched.of_jobs 4 ])
         [ Driver.Timestamp; Driver.Cutoff; Driver.Selective ])
     [ 3; 11; 29 ]
 
@@ -226,7 +226,7 @@ let test_random_dag_partitions () =
       if broken <> [] then begin
         let _fs, mgr, sources, _ = project topology broken in
         let stats =
-          Driver.build ~backend:(Driver.Parallel 4) ~keep_going:true mgr
+          Driver.build ~backend:(Sched.of_jobs 4) ~keep_going:true mgr
             ~policy:Driver.Cutoff ~sources
         in
         let label = Printf.sprintf "seed %d" seed in

@@ -355,7 +355,7 @@ let test_schedule_recorded_and_degrades () =
   let mgr = Driver.create fs in
   let sources = write_chain fs in
   let stats =
-    Driver.build ~profile ~backend:(Driver.Parallel 2)
+    Driver.build ~profile ~backend:(Sched.of_jobs 2)
       ~schedule:Driver.Critical_path mgr ~policy:Driver.Cutoff ~sources
   in
   Alcotest.(check string) "stats carry the schedule" "critical-path"
@@ -391,7 +391,7 @@ let test_schedule_recorded_and_degrades () =
   List.iter (fun f -> fs.Vfs.fs_remove (f ^ ".bin")) sources;
   let mgr' = Driver.create fs in
   let stats' =
-    Driver.build ~profile:profile' ~backend:(Driver.Parallel 2)
+    Driver.build ~profile:profile' ~backend:(Sched.of_jobs 2)
       ~schedule:Driver.Critical_path mgr' ~policy:Driver.Cutoff ~sources
   in
   Alcotest.(check int) "damaged store: full rebuild still runs" 3
@@ -406,7 +406,7 @@ let test_schedule_recorded_and_degrades () =
   List.iter (fun f -> fs.Vfs.fs_remove (f ^ ".bin")) sources;
   let mgr'' = Driver.create fs in
   let stats'' =
-    Driver.build ~profile:profile' ~backend:(Driver.Parallel 2)
+    Driver.build ~profile:profile' ~backend:(Sched.of_jobs 2)
       ~schedule:Driver.Wavefront mgr'' ~policy:Driver.Cutoff ~sources
   in
   Alcotest.(check string) "wavefront stamped" "wavefront"

@@ -1,8 +1,8 @@
 (* The wavefront scheduler: dispatch mechanics (ordering, failure
-   determinism) on toy graphs, and the headline property — a parallel
-   build is indistinguishable from a serial one: same bin bytes, same
-   export pids, same recompiled/loaded/cache/cutoff partitions, under
-   every policy. *)
+   determinism) on toy graphs, and the headline property — a build on
+   worker processes is indistinguishable from a serial one: same bin
+   bytes, same export pids, same recompiled/loaded/cache/cutoff
+   partitions, under every policy. *)
 
 module Gen = Workload.Gen
 module Driver = Irm.Driver
@@ -17,18 +17,58 @@ let toy_deps = function
   | "b" | "c" -> [ "a" ]
   | _ -> []
 
-let backends = [ Sched.Serial; Sched.Parallel 3 ]
+let workers n = Sched.Workers (Worker.default_config ~jobs:n ())
+let backends = [ Sched.Serial; workers 3 ]
+
+exception Abort_now of string
+
+(* Under [Workers], [execute] runs in a child process, reached through
+   a codec.  Jobs and results here are plain strings, so the codec only
+   has to carry the exceptions: [Failure] and [Abort_now] cross the
+   pipe by a one-letter tag.  With [static], the child releases
+   ["static-" ^ job] before finishing — what [sp_execute] does
+   in-process under the phase split. *)
+let string_codec ?(static = false) execute =
+  {
+    Sched.c_proto =
+      {
+        Worker.p_handler =
+          (fun ~notify ~id:_ job ->
+            if static then notify ("static-" ^ job);
+            execute job);
+        p_encode_exn =
+          (function
+          | Abort_now m -> "A" ^ m
+          | Failure m -> "F" ^ m
+          | e -> "F" ^ Printexc.to_string e);
+        p_decode_exn =
+          (fun s ->
+            let m = String.sub s 1 (String.length s - 1) in
+            if s.[0] = 'A' then Abort_now m else Failure m);
+        p_fail = (fun ~id _ -> Failure ("worker failed on " ^ id));
+      };
+    c_encode_job = Fun.id;
+    c_decode_result = Fun.id;
+  }
+
+(* [Sched.run] with [execute] installed for every backend: inline for
+   [Serial], through {!string_codec} in the worker children *)
+let run_toy ?keep_going ?fatal ?priority ?split ?static backend ~order ~deps
+    ~prepare ~execute =
+  Sched.run ?keep_going ?fatal ?priority ?split
+    ~codec:(string_codec ?static execute)
+    backend ~order ~deps ~prepare ~execute
+    ~complete:(fun _ result -> result)
 
 let test_outcomes_in_caller_order () =
   List.iter
     (fun backend ->
       let outcomes =
-        Sched.run backend ~order:toy_order ~deps:toy_deps
+        run_toy backend ~order:toy_order ~deps:toy_deps
           ~prepare:(fun node ->
             if String.equal node "c" then Sched.Done "cached-c"
             else Sched.Run node)
           ~execute:(fun node -> "ran-" ^ node)
-          ~complete:(fun _ result -> result)
       in
       Alcotest.(check (list string))
         (Sched.backend_name backend ^ ": caller order")
@@ -52,11 +92,10 @@ let test_earliest_failure_raised () =
   List.iter
     (fun backend ->
       match
-        Sched.run backend ~order:toy_order ~deps:toy_deps
+        run_toy backend ~order:toy_order ~deps:toy_deps
           ~prepare:(fun node -> Sched.Run node)
           ~execute:(fun node ->
             match node with "b" | "c" -> failwith node | _ -> node)
-          ~complete:(fun _ result -> result)
       with
       | _ -> Alcotest.fail "expected the build to fail"
       | exception Failure culprit ->
@@ -65,8 +104,6 @@ let test_earliest_failure_raised () =
           "b" culprit)
     backends
 
-exception Abort_now of string
-
 let test_fatal_overrides_keep_going () =
   (* under keep_going a failure is contained to its cone — but an exn
      the caller declares fatal (the CLI's SIGINT) must abort the whole
@@ -74,13 +111,12 @@ let test_fatal_overrides_keep_going () =
   List.iter
     (fun backend ->
       (match
-         Sched.run ~keep_going:true
+         run_toy ~keep_going:true
            ~fatal:(function Abort_now _ -> true | _ -> false)
            backend ~order:toy_order ~deps:toy_deps
            ~prepare:(fun node -> Sched.Run node)
            ~execute:(fun node ->
              if String.equal node "b" then raise (Abort_now node) else node)
-           ~complete:(fun _ result -> result)
        with
       | _ -> Alcotest.fail "fatal exception must escape keep_going"
       | exception Abort_now culprit ->
@@ -89,11 +125,10 @@ let test_fatal_overrides_keep_going () =
           "b" culprit);
       (* the same failure without the fatal predicate stays contained *)
       let outcomes =
-        Sched.run ~keep_going:true backend ~order:toy_order ~deps:toy_deps
+        run_toy ~keep_going:true backend ~order:toy_order ~deps:toy_deps
           ~prepare:(fun node -> Sched.Run node)
           ~execute:(fun node ->
             if String.equal node "b" then raise (Abort_now node) else node)
-          ~complete:(fun _ result -> result)
       in
       List.iter
         (fun (node, outcome) ->
@@ -106,8 +141,8 @@ let test_fatal_overrides_keep_going () =
 
 let test_complete_respects_deps () =
   (* on a 40-node dag under heavy parallelism, every [complete] must
-     still see all its dependencies completed (they run on the calling
-     domain, so no locking is needed to observe this) *)
+     still see all its dependencies completed (they run in the calling
+     process, so the table below observes every one of them) *)
   let n = 40 in
   let name i = Printf.sprintf "n%02d" i in
   let deps_of node =
@@ -120,7 +155,8 @@ let test_complete_respects_deps () =
   let order = List.init n name in
   let completed = Hashtbl.create n in
   let outcomes =
-    Sched.run (Sched.Parallel 8) ~order ~deps:deps_of
+    Sched.run (workers 8) ~order ~deps:deps_of
+      ~codec:(string_codec Fun.id)
       ~prepare:(fun node -> Sched.Run node)
       ~execute:(fun node -> node)
       ~complete:(fun node result ->
@@ -175,51 +211,56 @@ let test_priority_dispatch_order () =
     (run ~priority:favour_sink ~order:toy_order ~deps:toy_deps ())
 
 let test_split_overlaps_codegen () =
-  (* a <- b at Parallel 2: a releases its static view 20ms in, then
+  (* a <- b on 2 workers: a releases its static view 20ms in, then
      spends ~300ms in codegen.  b must demonstrably begin inside that
      window — the overlap the pipelined split exists to create — and
-     the static payload must arrive via sp_on_static on the caller. *)
-  let a_finished = Atomic.make 0. in
-  let b_started = Atomic.make 0. in
+     the static payload must arrive via sp_on_static in the calling
+     process.  Each child reports when a finished or b started, in its
+     result, as a hex float after the node name. *)
   let statics = ref [] in
   let split =
     {
-      Sched.sp_execute =
-        (fun ~notify node ->
-          (if String.equal node "a" then (
-             Unix.sleepf 0.02;
-             notify "static-of-a";
-             Unix.sleepf 0.3;
-             Atomic.set a_finished (Unix.gettimeofday ()))
-           else Atomic.set b_started (Unix.gettimeofday ()));
-          "ran-" ^ node);
+      Sched.sp_execute = (fun ~notify:_ _ -> assert false);
       sp_on_static =
         (fun node payload -> statics := (node, payload) :: !statics);
     }
   in
+  let proto =
+    {
+      (string_codec Fun.id).Sched.c_proto with
+      Worker.p_handler =
+        (fun ~notify ~id:_ node ->
+          if String.equal node "a" then begin
+            Unix.sleepf 0.02;
+            notify "static-of-a";
+            Unix.sleepf 0.3
+          end;
+          Printf.sprintf "%s %h" node (Unix.gettimeofday ()));
+    }
+  in
   let outcomes =
-    Sched.run ~split (Sched.Parallel 2) ~order:[ "a"; "b" ]
+    Sched.run ~split
+      ~codec:{ (string_codec Fun.id) with Sched.c_proto = proto }
+      (workers 2) ~order:[ "a"; "b" ]
       ~deps:(function "b" -> [ "a" ] | _ -> [])
       ~prepare:(fun node -> Sched.Run node)
-      ~execute:(fun node -> "ran-" ^ node)
+      ~execute:(fun _ -> assert false)
       ~complete:(fun _ result -> result)
   in
-  List.iter
-    (fun (node, outcome) ->
-      match outcome with
-      | Sched.Completed result ->
-        Alcotest.(check string) node ("ran-" ^ node) result
-      | Sched.Failed _ | Sched.Skipped _ ->
-        Alcotest.fail (node ^ " should have completed"))
-    outcomes;
+  let time_of node =
+    match List.assoc node outcomes with
+    | Sched.Completed result ->
+      Scanf.sscanf result "%s %h" (fun name t ->
+          Alcotest.(check string) "result names its node" node name;
+          t)
+    | Sched.Failed _ | Sched.Skipped _ ->
+      Alcotest.fail (node ^ " should have completed")
+  in
+  let a_finished = time_of "a" and b_started = time_of "b" in
   Alcotest.(check (list (pair string string)))
-    "static payload routed to the calling domain"
+    "static payload routed to the calling process"
     [ ("a", "static-of-a") ]
     !statics;
-  let b_started = Atomic.get b_started
-  and a_finished = Atomic.get a_finished in
-  if b_started = 0. || a_finished = 0. then
-    Alcotest.fail "both executes should have run";
   if b_started >= a_finished then
     Alcotest.fail
       (Printf.sprintf "no overlap: b started %.0fms after a finished codegen"
@@ -285,12 +326,11 @@ let run_sched_case ?priority ~with_split backend (order, deps, fails, _) =
       sp_on_static = (fun _ _ -> ());
     }
   in
-  Sched.run ?priority
+  run_toy ?priority
     ?split:(if with_split then Some split else None)
-    ~keep_going:true backend ~order ~deps
+    ~static:with_split ~keep_going:true backend ~order ~deps
     ~prepare:(fun node -> Sched.Run node)
     ~execute:body
-    ~complete:(fun _ result -> result)
   |> outcome_repr
 
 let prop_priorities_preserve_outcomes =
@@ -314,10 +354,10 @@ let prop_priorities_preserve_outcomes =
                   (Sched.backend_name backend)
                   with_split)
             [ false; true ])
-        [ Sched.Serial; Sched.Parallel 1; Sched.Parallel 2; Sched.Parallel 4 ];
+        [ Sched.Serial; workers 1; workers 2; workers 4 ];
       true)
 
-(* ---- parallel ≡ serial on generated projects ---- *)
+(* ---- workers ≡ serial on generated projects ---- *)
 
 let policies = [ Driver.Timestamp; Driver.Cutoff; Driver.Selective ]
 
@@ -359,7 +399,7 @@ let check_parallel_equals_serial policy ~seed ~jobs ~units =
     build_sequence Driver.Serial policy ~seed ~units
   in
   let parts_p, bins_p, exports_p =
-    build_sequence (Driver.Parallel jobs) policy ~seed ~units
+    build_sequence (workers jobs) policy ~seed ~units
   in
   if parts_s <> parts_p then
     Alcotest.fail
@@ -383,8 +423,8 @@ let test_critical_path_equals_wavefront () =
   (* the critical-path schedule — cold-estimate priorities plus the
      pipelined split threaded through compile, the static rehydrate
      path and the dependent's import reads — must leave everything
-     observable byte-identical to the wavefront, serial and parallel,
-     across a cold build and both edit kinds *)
+     observable byte-identical to the wavefront, serial and on worker
+     processes, across a cold build and both edit kinds *)
   let reference =
     build_sequence ~schedule:Driver.Wavefront Driver.Serial Driver.Cutoff
       ~seed:41 ~units:12
@@ -398,12 +438,36 @@ let test_critical_path_equals_wavefront () =
       if got <> reference then
         Alcotest.fail
           (Printf.sprintf "critical-path on %s diverges from the wavefront"
-             (match backend with
-             | Driver.Serial -> "serial"
-             | Driver.Parallel n -> Printf.sprintf "parallel-%d" n
-             | Driver.Workers _ -> "workers"
-             | Driver.Remote _ -> "remote")))
-    [ Driver.Serial; Driver.Parallel 4 ]
+             (Sched.backend_name backend)))
+    [ Driver.Serial; workers 4 ]
+
+(* a compile in a worker child counts into the child's registry; its
+   increments ride back in the result, so the building process reports
+   the same compile-side counters whichever backend ran the compiles *)
+let test_workers_report_compile_counters () =
+  let counters = [ "compile.units"; "simplify.rewrites"; "pickle.rehydrations"; "hash.pids" ] in
+  let deltas backend =
+    let fs = Vfs.memory () in
+    let project =
+      Gen.create fs
+        (Gen.Random_dag { units = 12; max_deps = 3; seed = 5 })
+        Gen.default_profile
+    in
+    let value name = Option.value ~default:0 (Obs.Metrics.find name) in
+    let before = List.map value counters in
+    ignore
+      (Driver.build ~backend (Driver.create fs) ~policy:Driver.Cutoff
+         ~sources:(Gen.sources project));
+    List.map2 (fun name v0 -> (name, value name - v0)) counters before
+  in
+  let serial = deltas Driver.Serial in
+  List.iter
+    (fun (name, n) ->
+      Alcotest.(check bool) (name ^ " counted by a serial build") true (n > 0))
+    serial;
+  Alcotest.(check (list (pair string int)))
+    "workers-2 = serial" serial
+    (deltas (workers 2))
 
 let prop_parallel_equals_serial =
   QCheck.Test.make ~count:6 ~name:"parallel build = serial build"
@@ -438,4 +502,6 @@ let suite =
     Alcotest.test_case "parallel = serial (selective)" `Quick
       (test_parallel_equals_serial Driver.Selective);
     QCheck_alcotest.to_alcotest prop_parallel_equals_serial;
+    Alcotest.test_case "workers report compile counters" `Quick
+      test_workers_report_compile_counters;
   ]

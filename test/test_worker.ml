@@ -478,24 +478,24 @@ let check_merged_trace ~chaos ~expect_truncated seed =
           (e.Trace.ev_start_us >= build_span.Trace.ev_start_us -. 1000.)
       end)
     evs;
-  (* per (pid, tid): start times non-decreasing (events () sorts) and
+  (* per pid: start times non-decreasing (events () sorts) and
      spans properly nested — the same invariant scripts/check_trace.py
      enforces on the serialized file *)
   let tracks = Hashtbl.create 8 in
   List.iter
     (fun e ->
-      let k = (e.Trace.ev_pid, e.Trace.ev_tid) in
+      let k = e.Trace.ev_pid in
       Hashtbl.replace tracks k (e :: Option.value ~default:[] (Hashtbl.find_opt tracks k)))
     evs;
   Hashtbl.iter
-    (fun (pid, tid) track ->
+    (fun pid track ->
       let track = List.rev track in
       let last = ref neg_infinity in
       let stack = ref [] in
       List.iter
         (fun e ->
           Alcotest.(check bool)
-            (Printf.sprintf "pid %d tid %d monotone ts (seed %d)" pid tid seed)
+            (Printf.sprintf "pid %d monotone ts (seed %d)" pid seed)
             true
             (e.Trace.ev_start_us >= !last);
           last := e.Trace.ev_start_us;
@@ -508,8 +508,8 @@ let check_merged_trace ~chaos ~expect_truncated seed =
           (match !stack with
           | enclosing :: _ ->
             Alcotest.(check bool)
-              (Printf.sprintf "pid %d tid %d %s nests (seed %d)" pid tid
-                 e.Trace.ev_name seed)
+              (Printf.sprintf "pid %d %s nests (seed %d)" pid e.Trace.ev_name
+                 seed)
               true
               (stop <= enclosing +. 0.01)
           | [] -> ());
