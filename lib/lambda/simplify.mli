@@ -17,7 +17,21 @@
 
     All binders produced by elaboration are globally unique, so
     substitution needs no renaming (checked by the translation
-    invariants test). *)
+    invariants test).
+
+    Use counts come from one occurrence census (Appel & Jim, "Shrinking
+    Lambda Expressions in Linear Time"), taken when {!term_with_stats}
+    starts, so no [let] or [fix] decision walks its binder's scope (a
+    walk that is quadratic over nested bindings).  The census maps each
+    variable to its number of occurrences in the current term, and
+    every rewrite keeps it exact: deleting a subterm (an untaken [if]
+    arm, a dead pure binding or [fix] function, a discarded tuple or
+    record sibling, a dropped handler) subtracts the subterm's
+    occurrences, and inlining an atom counts the atom once per replaced
+    occurrence.  Precondition: binders are unique in the term, so a
+    variable occurs only in the scope of its one binder and its count
+    is its number of uses there — the count each [let] and [fix]
+    decision needs.  The census is local to one call. *)
 
 (** [term t] — simplify to a fixpoint (bounded number of passes). *)
 val term : Lambda.t -> Lambda.t

@@ -293,6 +293,81 @@ let prop_simplifier_never_grows =
       Lambda.size (compile true) <= Lambda.size (compile false))
 
 (* ------------------------------------------------------------------ *)
+(* The census simplifier against the count_var reference               *)
+(* ------------------------------------------------------------------ *)
+
+let code (unit_ : Pickle.Binfile.t) = unit_.uf_codeunit.Link.Codeunit.cu_code
+
+(* the unsimplified code of an int_exp_gen program *)
+let raw_int_code source =
+  code
+    (Compile.compile ~optimize:false (Compile.new_session ()) ~name:"p.sml"
+       ~source:(Printf.sprintf "structure P = struct val r = %s end" source)
+       ~imports:[])
+
+(* the unsimplified code of every unit of a generated project, compiled
+   in dependency order in one session *)
+let raw_project_codes fs project =
+  let read file = Option.get (fs.Vfs.fs_read file) in
+  let graph =
+    Depend.Depgraph.build
+      (List.map
+         (fun file -> (file, Lang.Parser.parse_unit ~file (read file)))
+         (Gen.sources project))
+  in
+  let session = Compile.new_session () in
+  let units = Hashtbl.create 16 in
+  List.map
+    (fun file ->
+      let imports =
+        List.map (Hashtbl.find units)
+          (Depend.Depgraph.node graph file).Depend.Depgraph.n_deps
+      in
+      let unit_ =
+        Compile.compile ~optimize:false session ~name:file ~source:(read file)
+          ~imports
+      in
+      Hashtbl.replace units file unit_;
+      code unit_)
+    (Depend.Depgraph.topological graph)
+
+let prop_census_matches_reference =
+  QCheck.Test.make ~count:80
+    ~name:"simplifier: census = count_var reference (int programs)"
+    (QCheck.make ~print:fst int_exp_gen)
+    (fun (source, _) -> Test_simplify.matches_reference (raw_int_code source))
+
+let test_census_matches_reference_on_dags () =
+  List.iter
+    (fun seed ->
+      let fs = Vfs.memory () in
+      let project =
+        Gen.create fs
+          (Gen.Random_dag { units = 16; max_deps = 3; seed })
+          (Gen.sized_profile ~lines:160)
+      in
+      List.iteri
+        (fun i raw ->
+          if not (Test_simplify.matches_reference raw) then
+            Alcotest.failf "DAG seed %d, unit %d: census and reference differ"
+              seed i)
+        (raw_project_codes fs project))
+    [ 7; 23 ]
+
+let prop_simplify_idempotent =
+  QCheck.Test.make ~count:30
+    ~name:"simplifier: simplified units simplify in one pass, no rewrite"
+    project_arbitrary
+    (fun (topology, _) ->
+      let fs, _project, sources = fresh_project topology in
+      let mgr = Driver.create fs in
+      let _ = Driver.build mgr ~policy:Driver.Cutoff ~sources in
+      List.for_all
+        (fun file ->
+          Test_simplify.simplifies_to_itself (code (Driver.unit_of mgr file)))
+        sources)
+
+(* ------------------------------------------------------------------ *)
 (* Corruption is always checked                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -382,9 +457,13 @@ let suite =
       prop_differential_eval;
       prop_simplifier_preserves_semantics;
       prop_simplifier_never_grows;
+      prop_census_matches_reference;
+      prop_simplify_idempotent;
       prop_null_build_idempotent;
     ]
   @ [
       Alcotest.test_case "every 1-byte flip in a bin is checked" `Quick
         test_every_byte_flip_is_checked;
+      Alcotest.test_case "census = count_var reference on DAG units" `Quick
+        test_census_matches_reference_on_dags;
     ]

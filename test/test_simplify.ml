@@ -112,6 +112,146 @@ let test_stats () =
   Alcotest.(check bool) "shrank" true (stats.S.after_nodes < stats.S.before_nodes);
   Alcotest.(check int) "final size" 1 stats.S.after_nodes
 
+let test_shared_siblings_counted () =
+  (* inlining [x := y] puts one physical [Lvar y] in both tuple slots;
+     when folding [g (1, 2)] later unblocks the selection, the dropped
+     [y] must still leave the census, or [y] looks used twice and its
+     binding stays *)
+  let y = v "y%c1" and g = v "g%c2" and x = v "x%c3" in
+  let pair = L.Ltuple [ int 1; int 2 ] in
+  check_simplifies "sibling dropped by position"
+    (L.Llet
+       ( y,
+         pair,
+         L.Llet
+           ( g,
+             L.Lprim P.Padd,
+             L.Llet
+               ( x,
+                 L.Lvar y,
+                 L.Lselect
+                   ( 0,
+                     L.Ltuple
+                       [
+                         L.Lvar x;
+                         L.Lvar x;
+                         L.Lapp (L.Lvar g, L.Ltuple [ int 1; int 2 ]);
+                       ] ) ) ) ))
+    pair
+
+(* ------------------------------------------------------------------ *)
+(* The census simplifier against the count_var reference               *)
+(* ------------------------------------------------------------------ *)
+
+(* A random well-scoped term with unique binders, the simplifier's
+   precondition.  Variables are the commonest leaves, and literal
+   tuples, records, constructors and conditions are common, so dead
+   bindings, dropped siblings and untaken arms that mention variables
+   bound further out turn up often.  Not well typed: both simplifiers
+   only need scoping. *)
+let gen_term : L.t QCheck.Gen.t =
+ fun st ->
+  let rand n = Random.State.int st n in
+  let serial = ref 0 in
+  let fresh () =
+    incr serial;
+    v (Printf.sprintf "t%%%d" !serial)
+  in
+  let field () = v (List.nth [ "a"; "b"; "c" ] (rand 3)) in
+  let leaf scope =
+    match rand 10 with
+    | n when n < 6 && scope <> [] ->
+      L.Lvar (List.nth scope (rand (List.length scope)))
+    | 0 | 1 | 2 | 6 -> int (rand 5)
+    | 3 | 7 -> L.Lcon0 (rand 2)
+    | 4 | 8 -> L.Lprim P.Padd
+    | _ -> L.Lnewexn (Symbol.intern "E", false)
+  in
+  let rec term depth scope =
+    let sub () = term (depth - 1) scope in
+    let some n = List.init (1 + rand n) (fun _ -> sub ()) in
+    if depth <= 0 || rand 5 = 0 then leaf scope
+    else
+      match rand 15 with
+      | 0 ->
+        let x = fresh () in
+        L.Lfn (x, term (depth - 1) (x :: scope))
+      | 1 -> L.Lapp (sub (), sub ())
+      | 2 | 3 | 4 ->
+        let x = fresh () in
+        let e = sub () in
+        L.Llet (x, e, term (depth - 1) (x :: scope))
+      | 5 ->
+        let fs = List.init (1 + rand 3) (fun _ -> fresh ()) in
+        let binds =
+          List.map
+            (fun f ->
+              let x = fresh () in
+              (f, x, term (depth - 1) ((x :: fs) @ scope)))
+            fs
+        in
+        L.Lfix (binds, term (depth - 1) (fs @ scope))
+      | 6 -> L.Ltuple (some 3)
+      | 7 ->
+        let parts = some 3 in
+        L.Lselect (rand (List.length parts + 1), L.Ltuple parts)
+      | 8 ->
+        let fields = List.map (fun e -> (field (), e)) (some 3) in
+        L.Lfield (field (), if rand 4 = 0 then sub () else L.Lrecord fields)
+      | 9 -> (
+        let con =
+          if rand 3 = 0 then L.Lcon0 (rand 2) else L.Lcon (rand 2, sub ())
+        in
+        match rand 3 with
+        | 0 -> L.Lcontag con
+        | 1 -> L.Lconarg con
+        | _ -> con)
+      | 10 | 11 ->
+        let cond =
+          match rand 3 with
+          | 0 -> L.Lcon0 (rand 2)
+          | 1 -> app2 P.Plt (int (rand 3)) (int (rand 3))
+          | _ -> sub ()
+        in
+        L.Lif (cond, sub (), sub ())
+      | 12 ->
+        let x = fresh () in
+        let e = if rand 2 = 0 then L.Ltuple (some 2) else sub () in
+        L.Lhandle (e, x, term (depth - 1) (x :: scope))
+      | 13 -> L.Lraise (sub ())
+      | _ -> app2 P.Padd (sub ()) (sub ())
+  in
+  term 7 []
+
+(* same output term, passes and sizes as the count_var simplifier *)
+let matches_reference term =
+  let out, stats = S.term_with_stats term in
+  let ref_out, ref_stats = Simplify_ref.term_with_stats term in
+  String.equal (L.to_string out) (L.to_string ref_out) && stats = ref_stats
+
+let prop_census_matches_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"census = count_var reference on random terms"
+    (QCheck.make ~print:L.to_string gen_term)
+    matches_reference
+
+(* a second simplification of simplified code finds nothing to rewrite:
+   a census that drifted high would have blocked a rewrite the first
+   time, and this one would find it *)
+let simplifies_to_itself term =
+  let _, stats = S.term_with_stats term in
+  stats.S.passes = 1 && stats.after_nodes = stats.before_nodes
+
+(* a first simplification cut off by the pass bound may leave rewrites *)
+let prop_idempotent =
+  QCheck.Test.make ~count:1000
+    ~name:"simplified random terms simplify to themselves"
+    (QCheck.make ~print:L.to_string gen_term)
+    (fun term ->
+      let out, stats = S.term_with_stats term in
+      QCheck.assume (stats.S.passes < 4);
+      simplifies_to_itself out)
+
 let suite =
   [
     Alcotest.test_case "constant folding" `Quick test_constant_folding;
@@ -127,4 +267,8 @@ let suite =
     Alcotest.test_case "dead fix bindings dropped" `Quick
       test_fix_garbage_collection;
     Alcotest.test_case "statistics" `Quick test_stats;
+    Alcotest.test_case "shared siblings counted by position" `Quick
+      test_shared_siblings_counted;
+    QCheck_alcotest.to_alcotest prop_census_matches_reference;
+    QCheck_alcotest.to_alcotest prop_idempotent;
   ]
