@@ -14,7 +14,6 @@
      E9  IRM build latency: null/touch/impl/iface    (timing)
      E10 simplifier ablation: code sizes            (table)
      E11 alpha-conversion ablation                  (counts)
-     E12 interpreter vs bytecode VM                 (bechamel)
      E13 parallel build speedup on worker processes (timing)
      E14 unit-cache hit rates, warm-from-clean      (timing + counts)
      E15 atomic-commit overhead vs raw writes       (timing)
@@ -22,7 +21,6 @@
      E17 worker-backend cost vs serial              (timing + counts)
      E18 observability overhead on a clean worker build (timing)
      E19 compile server: warm vs cold rebuilds, client throughput (timing)
-     E20 critical-path scheduling vs wavefront on synthetic DAGs (timing)
      E21 distributed fabric: remote executors + shared cache (timing + counts)
      E22 hot-swap latency vs full restart, 0/4 pinned clients (timing)
 *)
@@ -39,7 +37,7 @@ let section title =
 (* Machine-readable results: BENCH_sepcomp.json                        *)
 (*                                                                     *)
 (* Schema (see README, "Observability"):                               *)
-(*   { "schema": "smlsep-bench/11", "quick": bool,                     *)
+(*   { "schema": "smlsep-bench/12", "quick": bool,                     *)
 (*     "experiments": {                                                *)
 (*       "build_times":      [{scale,units,lines,policy,build_s,       *)
 (*                             hash_s,dehydrate_s,rehydrate_s,         *)
@@ -65,9 +63,6 @@ let section title =
 (*       "compile_server":   [{scenario,units,lines,cold_s,warm_s,     *)
 (*                             speedup} | {scenario,clients,requests,  *)
 (*                             wall_s,requests_per_s}],                *)
-(*       "critical_path":    [{scenario,nodes,jobs,wavefront_s,        *)
-(*                             critical_path_s,improvement,            *)
-(*                             wavefront_eff,critical_path_eff}],      *)
 (*       "remote_fabric":    [{scenario,execs,units,wall_s,speedup} |  *)
 (*                            {scenario,phase,units,cache_hits,        *)
 (*                             hit_rate,wall_s} |                      *)
@@ -92,7 +87,6 @@ let tbl_keepgoing : J.t list ref = ref []
 let tbl_worker : J.t list ref = ref []
 let tbl_obs : J.t list ref = ref []
 let tbl_server : J.t list ref = ref []
-let tbl_sched : J.t list ref = ref []
 let tbl_fabric : J.t list ref = ref []
 let tbl_swap : J.t list ref = ref []
 
@@ -102,7 +96,7 @@ let write_results () =
   let doc =
     J.Obj
       [
-        ("schema", J.String "smlsep-bench/11");
+        ("schema", J.String "smlsep-bench/12");
         ("quick", J.Bool !quick);
         ( "experiments",
           J.Obj
@@ -118,7 +112,6 @@ let write_results () =
               ("worker_overhead", J.List (List.rev !tbl_worker));
               ("observability_overhead", J.List (List.rev !tbl_obs));
               ("compile_server", J.List (List.rev !tbl_server));
-              ("critical_path", J.List (List.rev !tbl_sched));
               ("remote_fabric", J.List (List.rev !tbl_fabric));
               ("hot_swap", J.List (List.rev !tbl_swap));
             ] );
@@ -780,75 +773,6 @@ let e11 () =
     trials !alpha_stable (trials - 1) !raw_stable (trials - 1)
 
 (* ------------------------------------------------------------------ *)
-(* E12: execution backends — tree-walker vs bytecode VM                *)
-(* ------------------------------------------------------------------ *)
-
-let lambda_of_exp ?(decs = "") src =
-  let ctx = Statics.Context.create () in
-  Statics.Basis.register ctx;
-  let env = Statics.Basis.env () in
-  let delta, tdecs =
-    if decs = "" then (Statics.Types.empty_env, [])
-    else
-      Statics.Elaborate.elab_decs ctx env
-        (Lang.Parser.parse_decs ~file:"bench.sml" decs)
-  in
-  let env = Statics.Types.env_union env delta in
-  let texp, _ =
-    Statics.Elaborate.elab_exp ctx env (Lang.Parser.parse_exp ~file:"b.sml" src)
-  in
-  Simplify.term (Translate.tdecs tdecs (Translate.texp texp))
-
-let e12 () =
-  section "E12: execution backends — interpreter vs bytecode VM";
-  let programs =
-    [
-      ( "fib 22",
-        lambda_of_exp
-          ~decs:"fun fib n = if n < 2 then n else fib (n - 1) + fib (n - 2)"
-          "fib 22" );
-      ( "insertion sort, 150 elems",
-        lambda_of_exp
-          ~decs:
-            "fun insert (x, nil) = [x]\n\
-            \  | insert (x, y :: ys) = if x < y then x :: y :: ys else y :: \
-             insert (x, ys)\n\
-             fun sort nil = nil | sort (x :: xs) = insert (x, sort xs)\n\
-             fun mk n = if n = 0 then nil else (n * 37) mod 101 :: mk (n - 1)\n\
-             fun len xs = case xs of nil => 0 | _ :: r => 1 + len r"
-          "len (sort (mk 150))" );
-      ( "closure churn",
-        lambda_of_exp
-          ~decs:
-            "fun compose f g x = f (g x)\n\
-             fun iter n f = if n = 0 then f else iter (n - 1) (compose f (fn \
-             x => x + 1))"
-          "(iter 200 (fn x => x)) 0" );
-    ]
-  in
-  List.iter
-    (fun (name, code) ->
-      let program = Dynamics.Vm.compile code in
-      run_bechamel ~name:("e12/" ^ name)
-        [
-          ( "interpreter",
-            fun () ->
-              let rt =
-                Dynamics.Eval.runtime ~output:ignore
-                  ~imports:Digestkit.Pid.Map.empty ()
-              in
-              ignore (Dynamics.Eval.run rt code) );
-          ( "bytecode vm",
-            fun () ->
-              ignore
-                (Dynamics.Vm.run ~output:ignore ~imports:Digestkit.Pid.Map.empty
-                   program) );
-        ];
-      Printf.printf "  (%d lambda nodes -> %d instructions)\n"
-        (Lambda.size code) (Dynamics.Vm.program_length program))
-    programs
-
-(* ------------------------------------------------------------------ *)
 (* E13: parallel build speedup                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1366,7 +1290,6 @@ let e19 () =
         b_werror = false;
         b_max_errors = None;
         b_error_json = false;
-        b_schedule = "wavefront";
       }
   in
   let warm_request c =
@@ -1478,173 +1401,6 @@ let e19 () =
         (if n = 1 then " " else "s")
         (n * requests_per_client) wall rps)
     rates
-
-(* ------------------------------------------------------------------ *)
-(* E20: critical-path scheduling vs wavefront on synthetic DAGs        *)
-(* ------------------------------------------------------------------ *)
-
-(* Drives Sched.run directly with sleep jobs on worker processes, so the
-   measured makespan is pure scheduling (plus the pool's start-up, the
-   same for both schedules): the same DAG, the same per-node durations,
-   once
-   dispatched in caller order (wavefront) and once ranked by exact
-   critical-path length with the static/codegen split on — the
-   idealized version of what `irm build --schedule=critical-path`
-   computes from profile-store estimates.  The DAGs are seeded and
-   skewed (a few heavy long chains among many light nodes, listed
-   late in caller order), the regime where dispatch order moves the
-   makespan at all. *)
-let e20 () =
-  section "E20: critical-path scheduling vs wavefront (synthetic DAGs)";
-  let jobs = 4 in
-  let scale = if !quick then 0.4 else 1.0 in
-  let run ~schedule ~order ~deps ~duration =
-    (* the paper's factoring: the static part (parse/elaborate/hash) is
-       the cheap prefix, codegen the bulk *)
-    let static_s n = 0.4 *. duration n in
-    let codegen_s n = 0.6 *. duration n in
-    let priority =
-      match schedule with
-      | `Wavefront -> None
-      | `Critical_path ->
-        let dependents = Hashtbl.create 64 in
-        List.iter
-          (fun n -> List.iter (fun d -> Hashtbl.add dependents d n) (deps n))
-          order;
-        let cp = Hashtbl.create 64 in
-        List.iter
-          (fun n ->
-            let down =
-              List.fold_left
-                (fun acc d -> Float.max acc (Hashtbl.find cp d))
-                0.
-                (Hashtbl.find_all dependents n)
-            in
-            Hashtbl.replace cp n (duration n +. down))
-          (List.rev order);
-        Some (fun n -> Hashtbl.find cp n)
-    in
-    (* the job sleeps for the node's duration; under the split it
-       releases its (empty) static view after the static prefix.  The
-       worker children run it through a string codec. *)
-    let job ~notify n =
-      (match schedule with
-      | `Wavefront -> Unix.sleepf (duration n)
-      | `Critical_path ->
-        Unix.sleepf (static_s n);
-        notify "";
-        Unix.sleepf (codegen_s n));
-      n
-    in
-    let split =
-      match schedule with
-      | `Wavefront -> None
-      | `Critical_path ->
-        Some { Sched.sp_execute = job; sp_on_static = (fun _ _ -> ()) }
-    in
-    let codec =
-      {
-        Sched.c_proto =
-          {
-            Worker.p_handler = (fun ~notify ~id:_ n -> job ~notify n);
-            p_encode_exn = Printexc.to_string;
-            p_decode_exn = (fun msg -> Failure msg);
-            p_fail = (fun ~id _ -> Failure ("e20: worker failed on " ^ id));
-          };
-        c_encode_job = Fun.id;
-        c_decode_result = Fun.id;
-      }
-    in
-    let t0 = Unix.gettimeofday () in
-    let outcomes =
-      Sched.run ?priority ?split ~codec (Sched.of_jobs jobs) ~order ~deps
-        ~prepare:(fun n -> Sched.Run n)
-        ~execute:(job ~notify:ignore)
-        ~complete:(fun _ r -> r)
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    if List.length outcomes <> List.length order then
-      failwith "e20: lost outcomes";
-    let eff =
-      match Sched.last_slots () with
-      | Some s ->
-        Array.fold_left ( +. ) 0. s.Sched.sl_busy_s
-        /. (float_of_int s.Sched.sl_jobs *. s.Sched.sl_wall_s)
-      | None -> nan
-    in
-    (wall, eff)
-  in
-  (* deep: one heavy spine chain behind a fringe of light independent
-     units that come first in caller order *)
-  let deep ~seed =
-    let rng = Random.State.make [| seed |] in
-    let depth = 10 and fringe = 36 in
-    let spine i = Printf.sprintf "spine%02d" i in
-    let order =
-      List.init fringe (Printf.sprintf "light%02d") @ List.init depth spine
-    in
-    let deps n =
-      match String.sub n 0 5 with
-      | "spine" when n <> spine 0 ->
-        [ spine (int_of_string (String.sub n 5 2) - 1) ]
-      | _ -> []
-    in
-    let duration = Hashtbl.create 64 in
-    List.iter
-      (fun n ->
-        let base = if String.sub n 0 5 = "spine" then 0.030 else 0.006 in
-        let jitter = 0.8 +. Random.State.float rng 0.4 in
-        Hashtbl.replace duration n (base *. jitter *. scale))
-      order;
-    (order, deps, Hashtbl.find duration)
-  in
-  (* wide: independent chains of skewed length, shortest first in
-     caller order, so the wavefront discovers the long poles last *)
-  let wide ~seed =
-    let rng = Random.State.make [| seed |] in
-    let chains = 8 in
-    let node c i = Printf.sprintf "c%d_%02d" c i in
-    let order =
-      List.concat
-        (List.init chains (fun c -> List.init (c + 1) (node (c + 1))))
-    in
-    let deps n =
-      let c = int_of_string (String.sub n 1 1) in
-      let i = int_of_string (String.sub n 3 2) in
-      if i = 0 then [] else [ node c (i - 1) ]
-    in
-    let duration = Hashtbl.create 64 in
-    List.iter
-      (fun n ->
-        let jitter = 0.8 +. Random.State.float rng 0.4 in
-        Hashtbl.replace duration n (0.024 *. jitter *. scale))
-      order;
-    (order, deps, Hashtbl.find duration)
-  in
-  List.iter
-    (fun (scenario, (order, deps, duration)) ->
-      let wf_s, wf_eff = run ~schedule:`Wavefront ~order ~deps ~duration in
-      let cp_s, cp_eff = run ~schedule:`Critical_path ~order ~deps ~duration in
-      let improvement = (wf_s -. cp_s) /. wf_s in
-      record tbl_sched
-        (J.Obj
-           [
-             ("scenario", J.String scenario);
-             ("nodes", J.Int (List.length order));
-             ("jobs", J.Int jobs);
-             ("wavefront_s", J.Float wf_s);
-             ("critical_path_s", J.Float cp_s);
-             ("improvement", J.Float improvement);
-             ("wavefront_eff", J.Float wf_eff);
-             ("critical_path_eff", J.Float cp_eff);
-           ]);
-      Printf.printf
-        "%-10s %2d nodes, %d jobs: wavefront %7.1f ms (eff %3.0f%%)   \
-         critical-path %7.1f ms (eff %3.0f%%)   %+.0f%%\n"
-        scenario (List.length order) jobs (1000. *. wf_s) (100. *. wf_eff)
-        (1000. *. cp_s) (100. *. cp_eff)
-        (100. *. improvement))
-    [ ("deep-skew", deep ~seed:7); ("wide-skew", wide ~seed:21) ]
 
 (* ------------------------------------------------------------------ *)
 (* E21: distributed fabric — remote executors + shared cache           *)
@@ -1935,8 +1691,8 @@ let () =
   print_endline "smlsep benchmark harness — reproduces the paper's evaluation";
   if !quick then
     print_endline "(quick mode: fewer repetitions, micro-benchmarks skipped)";
-  (* e1/e12 are bechamel micro-benchmark suites: slow and not part of the
-     JSON report, so quick mode skips them. *)
+  (* e1 is a bechamel micro-benchmark suite: slow and not part of the
+     JSON report, so quick mode skips it. *)
   if not !quick then e1 ();
   e2 ();
   e3 ();
@@ -1948,7 +1704,6 @@ let () =
   e9 ();
   e10 ();
   e11 ();
-  if not !quick then e12 ();
   e13 ();
   e14 ();
   e15 ();
@@ -1956,7 +1711,6 @@ let () =
   e17 ();
   e18 ();
   e19 ();
-  e20 ();
   e21 ();
   e22 ();
   write_results ();

@@ -27,7 +27,7 @@
    slot occupancy.  `irm explain UNIT` answers "why did this unit
    rebuild, what did it drag with it, and what does it usually cost";
    `irm profile` prints the last build's critical path, slowest units
-   and scheduler efficiency (--json emits the smlsep-profile/1
+   and scheduler efficiency (--json emits the smlsep-profile/2
    envelope, schema schemas/profile.schema.json).
 
    --fault-seed wraps the file system in the deterministic
@@ -76,22 +76,6 @@ let with_manager ?fault_seed ?(fault_ops = 32) dir group f =
   let sources = Irm.Group.load fs group in
   let mgr = Irm.Driver.create fs in
   f fs mgr sources
-
-(* --schedule=auto: critical-path once the profile store has a recorded
-   build to estimate from, classical wavefront otherwise (including
-   under --no-profile, where there are no estimates to be had) *)
-let resolve_schedule ?profile = function
-  | `Wavefront -> Irm.Driver.Wavefront
-  | `Critical_path -> Irm.Driver.Critical_path
-  | `Auto -> (
-    match profile with
-    | Some p when Obs.Profile.builds p <> [] -> Irm.Driver.Critical_path
-    | Some _ | None -> Irm.Driver.Wavefront)
-
-let schedule_string = function
-  | `Auto -> "auto"
-  | `Wavefront -> "wavefront"
-  | `Critical_path -> "critical-path"
 
 let parse_remote_addr s =
   match Remote.Transport.parse_addr s with
@@ -234,10 +218,10 @@ let report_diagnostics fs error_format (stats : Irm.Driver.stats) =
     (Irm.Introspect.report_diagnostics ~source_of:fs.Vfs.fs_read
        ~json:(error_format = `Json) stats)
 
-let build_units ~backend ~schedule ?cache ?profile ~keep_going ~werror
+let build_units ~backend ?cache ?profile ~keep_going ~werror
     ?max_errors ~error_format fs mgr policy sources =
   let stats =
-    Irm.Driver.build ~backend ~schedule ?cache ?profile ~keep_going ~werror
+    Irm.Driver.build ~backend ?cache ?profile ~keep_going ~werror
       ?max_errors mgr ~policy ~sources
   in
   if error_format = `Text then
@@ -271,7 +255,7 @@ let pp_cache_stats = function
 (* build options as the daemon protocol carries them; process-only
    features (--worker-timeout, --fault-seed, --trace, --stats) stay
    local *)
-let daemon_build_opts group policy schedule jobs use_cache keep_going werror
+let daemon_build_opts group policy jobs use_cache keep_going werror
     max_errors error_format =
   {
     Daemon.Protocol.b_group = group;
@@ -282,9 +266,6 @@ let daemon_build_opts group policy schedule jobs use_cache keep_going werror
     b_werror = werror;
     b_max_errors = max_errors;
     b_error_json = (error_format = `Json);
-    (* [auto] travels as-is: the daemon resolves it against its own warm
-       profile store *)
-    b_schedule = schedule_string schedule;
   }
 
 (* --fault-seed wraps the daemon's real fs, --remote owns its own
@@ -299,7 +280,7 @@ let daemon_routable ~use_daemon ~fault_seed ?(remotes = []) () =
   end
   else use_daemon
 
-let build_cmd_impl dir group policy schedule jobs worker_timeout
+let build_cmd_impl dir group policy jobs worker_timeout
     remotes remote_cache remote_timeout no_remote_fallback use_cache cache_dir
     budget_mb no_profile profile_dir trace stats_flag fault_seed fault_ops
     keep_going werror max_errors error_format use_daemon =
@@ -311,7 +292,7 @@ let build_cmd_impl dir group policy schedule jobs worker_timeout
       | Some c ->
         finish_daemon c
           (Daemon.Protocol.Build
-             (daemon_build_opts group policy schedule jobs use_cache keep_going
+             (daemon_build_opts group policy jobs use_cache keep_going
                 werror max_errors error_format))
       | None ->
         install_interrupt ();
@@ -320,7 +301,6 @@ let build_cmd_impl dir group policy schedule jobs worker_timeout
             Daemon.Lock.with_lock ~dir @@ fun () ->
             let cache = cache_of fs use_cache cache_dir budget_mb in
             let profile = profile_of fs no_profile profile_dir in
-            let schedule = resolve_schedule ?profile schedule in
             with_obs trace stats_flag (fun () ->
                 let stats, code =
                   build_units
@@ -328,7 +308,6 @@ let build_cmd_impl dir group policy schedule jobs worker_timeout
                       (backend_of ~jobs ~worker_timeout ~remotes
                          ~remote_timeout
                          ~remote_fallback:(not no_remote_fallback) ())
-                    ~schedule
                     ?cache:(cache_ops_of cache remote_cache)
                     ?profile ~keep_going ~werror ?max_errors ~error_format fs
                     mgr policy sources
@@ -339,7 +318,7 @@ let build_cmd_impl dir group policy schedule jobs worker_timeout
                 end;
                 code)))
 
-let run_cmd_impl dir group policy schedule jobs worker_timeout remotes
+let run_cmd_impl dir group policy jobs worker_timeout remotes
     remote_cache remote_timeout no_remote_fallback use_cache cache_dir
     budget_mb no_profile profile_dir trace stats_flag fault_seed fault_ops
     keep_going werror max_errors error_format use_daemon =
@@ -351,7 +330,7 @@ let run_cmd_impl dir group policy schedule jobs worker_timeout remotes
       | Some c ->
         finish_daemon c
           (Daemon.Protocol.Run
-             (daemon_build_opts group policy schedule jobs use_cache keep_going
+             (daemon_build_opts group policy jobs use_cache keep_going
                 werror max_errors error_format))
       | None ->
         install_interrupt ();
@@ -360,7 +339,6 @@ let run_cmd_impl dir group policy schedule jobs worker_timeout remotes
             Daemon.Lock.with_lock ~dir @@ fun () ->
             let cache = cache_of fs use_cache cache_dir budget_mb in
             let profile = profile_of fs no_profile profile_dir in
-            let schedule = resolve_schedule ?profile schedule in
             with_obs trace stats_flag (fun () ->
                 let stats =
                   Irm.Driver.build
@@ -368,7 +346,6 @@ let run_cmd_impl dir group policy schedule jobs worker_timeout remotes
                       (backend_of ~jobs ~worker_timeout ~remotes
                          ~remote_timeout
                          ~remote_fallback:(not no_remote_fallback) ())
-                    ~schedule
                     ?cache:(cache_ops_of cache remote_cache)
                     ?profile ~keep_going ~werror ?max_errors mgr ~policy
                     ~sources
@@ -383,7 +360,7 @@ let run_cmd_impl dir group policy schedule jobs worker_timeout remotes
                 end;
                 code)))
 
-let stats_cmd_impl dir group policy schedule jobs worker_timeout
+let stats_cmd_impl dir group policy jobs worker_timeout
     remotes remote_cache remote_timeout no_remote_fallback use_cache cache_dir
     budget_mb no_profile profile_dir trace json keep_going werror max_errors =
   guarded (fun () ->
@@ -393,7 +370,6 @@ let stats_cmd_impl dir group policy schedule jobs worker_timeout
           Daemon.Lock.with_lock ~dir @@ fun () ->
           let cache = cache_of fs use_cache cache_dir budget_mb in
           let profile = profile_of fs no_profile profile_dir in
-          let schedule = resolve_schedule ?profile schedule in
           with_obs trace false (fun () ->
               let stats =
                 Irm.Driver.build
@@ -401,7 +377,6 @@ let stats_cmd_impl dir group policy schedule jobs worker_timeout
                     (backend_of ~jobs ~worker_timeout ~remotes
                        ~remote_timeout
                        ~remote_fallback:(not no_remote_fallback) ())
-                  ~schedule
                   ?cache:(cache_ops_of cache remote_cache)
                   ?profile ~keep_going ~werror ?max_errors mgr ~policy ~sources
               in
@@ -833,30 +808,6 @@ let policy_arg =
            $(b,selective) (per-module interface pids) or $(b,timestamp) \
            (classical make).")
 
-let schedule_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("auto", `Auto);
-             ("wavefront", `Wavefront);
-             ("critical-path", `Critical_path);
-           ])
-        `Auto
-    & info [ "schedule" ] ~docv:"SCHED"
-        ~doc:
-          "How ready compiles are ordered.  $(b,wavefront) dispatches in \
-           build order as dependencies complete.  $(b,critical-path) \
-           starts the units with the longest downstream chains first — \
-           per-unit durations estimated from the profile store's rolling \
-           averages — and pipelines each compile into static and codegen \
-           stages, releasing a unit's interfaces to dependents before its \
-           code generation finishes.  $(b,auto) (the default) picks \
-           $(b,critical-path) once the profile store has recorded a \
-           build, $(b,wavefront) otherwise.  Bin files, diagnostics and \
-           failure partitions are byte-identical under every schedule.")
-
 let jobs_arg =
   Arg.(
     value
@@ -1075,7 +1026,7 @@ let build_cmd =
     (Cmd.info "build" ~exits
        ~doc:"bring every unit of the group up to date")
     Term.(
-      const build_cmd_impl $ dir_arg $ group_arg $ policy_arg $ schedule_arg
+      const build_cmd_impl $ dir_arg $ group_arg $ policy_arg
       $ jobs_arg $ worker_timeout_arg $ remote_arg $ remote_cache_arg
       $ remote_timeout_arg $ no_remote_fallback_arg
       $ cache_flag_arg $ cache_dir_arg
@@ -1088,7 +1039,7 @@ let run_cmd =
     (Cmd.info "run" ~exits
        ~doc:"build, then execute all units in dependency order")
     Term.(
-      const run_cmd_impl $ dir_arg $ group_arg $ policy_arg $ schedule_arg
+      const run_cmd_impl $ dir_arg $ group_arg $ policy_arg
       $ jobs_arg $ worker_timeout_arg $ remote_arg $ remote_cache_arg
       $ remote_timeout_arg $ no_remote_fallback_arg
       $ cache_flag_arg $ cache_dir_arg
@@ -1101,7 +1052,7 @@ let stats_cmd =
     (Cmd.info "stats" ~exits
        ~doc:"build, then print the per-unit report and metric counters")
     Term.(
-      const stats_cmd_impl $ dir_arg $ group_arg $ policy_arg $ schedule_arg
+      const stats_cmd_impl $ dir_arg $ group_arg $ policy_arg
       $ jobs_arg $ worker_timeout_arg $ remote_arg $ remote_cache_arg
       $ remote_timeout_arg $ no_remote_fallback_arg
       $ cache_flag_arg $ cache_dir_arg
@@ -1172,7 +1123,7 @@ let profile_cmd =
        ~doc:
          "report on the last recorded build: critical path, slowest \
           units, scheduler efficiency, and the rebuild-cause breakdown \
-          ($(b,--json) emits the smlsep-profile/1 envelope)")
+          ($(b,--json) emits the smlsep-profile/2 envelope)")
     Term.(
       const profile_cmd_impl $ dir_arg $ profile_dir_arg $ json_arg $ top_arg
       $ daemon_flag_arg)

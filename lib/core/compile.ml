@@ -38,15 +38,9 @@ let m_failed_units = Obs.Metrics.counter "compile.failed_units"
 let m_diag_errors = Obs.Metrics.counter "diag.errors"
 let m_diag_warnings = Obs.Metrics.counter "diag.warnings"
 
-let compile ?(optimize = true) ?warn ?diags ?on_static session ~name ~source
-    ~imports =
+let compile ?(optimize = true) ?warn ?diags session ~name ~source ~imports =
   Obs.Trace.span ~cat:"compile" ~args:[ ("unit", name) ] "compile.unit"
   @@ fun () ->
-  (* stage spans for the pipelined split are recorded retroactively from
-     clock reads taken inside the compile.unit span, so they nest
-     cleanly within it on the trace track (record_span keeps them out
-     of the phase collector, so they never feed profile EWMAs) *)
-  let stage_start = Unix.gettimeofday () in
   (* generated binder names restart from zero for every unit, making
      the emitted bin bytes a function of (source, imports) alone —
      independent of session history, build order, or which process runs
@@ -68,37 +62,33 @@ let compile ?(optimize = true) ?warn ?diags ?on_static session ~name ~source
     Obs.Metrics.add m_diag_warnings (Support.Diag.warning_count c);
     raise (Support.Diag.Errors (Support.Diag.diags c))
   in
-  let check_front_end () =
-    match diags with
-    | Some c when Support.Diag.has_errors c -> unit_failed c
-    | _ -> ()
+  (* one front-end phase: the unit fails if the collector hit its error
+     limit mid-phase, or holds any error once the phase is done *)
+  let front_end p f =
+    match phase p f with
+    | result ->
+      (match diags with
+      | Some c when Support.Diag.has_errors c -> unit_failed c
+      | _ -> ());
+      result
+    | exception (Support.Diag.Errors _ as e) -> (
+      match diags with Some c -> unit_failed c | None -> raise e)
   in
   let unit_ =
-    try phase "parse" (fun () -> Lang.Parser.parse_unit ?diags ~file:name source)
-    with Support.Diag.Errors _ as e -> (
-      (* the collector hit its error limit mid-phase *)
-      match diags with Some c -> unit_failed c | None -> raise e)
+    front_end "parse" (fun () -> Lang.Parser.parse_unit ?diags ~file:name source)
   in
-  check_front_end ();
   let delta, tdecs =
-    try
-      phase "elaborate" (fun () ->
-          Statics.Elaborate.elab_compilation_unit ?warn ?diags session.ctx env
-            unit_)
-    with Support.Diag.Errors _ as e -> (
-      match diags with Some c -> unit_failed c | None -> raise e)
+    front_end "elaborate" (fun () ->
+        Statics.Elaborate.elab_compilation_unit ?warn ?diags session.ctx env
+          unit_)
   in
-  check_front_end ();
   (match diags with
   | Some c -> Obs.Metrics.add m_diag_warnings (Support.Diag.warning_count c)
   | None -> ());
   let fields = runtime_export_fields delta in
   let export = phase "hash" (fun () -> Pickle.Hashenv.export session.ctx delta) in
   (* the selective-recompilation record: of the module names this unit
-     referenced, which import provided each and at what interface pid.
-     Scanned before translation: the scan needs only the parsed AST, and
-     running it here completes the unit's *static* part — everything a
-     dependent needs is fixed from this point on. *)
+     referenced, which import provided each and at what interface pid *)
   let summary = phase "scan" (fun () -> Depend.Scan.scan unit_) in
   let uf_import_name_statics =
     List.concat_map
@@ -109,50 +99,26 @@ let compile ?(optimize = true) ?warn ?diags ?on_static session ~name ~source
           uf.uf_name_statics)
       imports
   in
-  let assemble codeunit =
-    {
-      Pickle.Binfile.uf_name = name;
-      uf_static_pid = export.ex_static_pid;
-      uf_env = export.ex_env;
-      uf_import_statics =
-        List.map
-          (fun (uf : Pickle.Binfile.t) -> (uf.uf_name, uf.uf_static_pid))
-          imports;
-      uf_name_statics = export.ex_name_statics;
-      uf_import_name_statics;
-      uf_codeunit = codeunit;
-    }
-  in
-  (* The pipelined-phase hook: the static part (interface, pids, env) is
-     complete, code generation has not started.  A scheduler can release
-     this view to dependents and overlap their compiles with this unit's
-     translate/simplify.  Sound because the export pid is a function of
-     the elaborated interface alone — codegen cannot change it. *)
-  (match on_static with
-  | Some notify ->
-    notify (assemble Pickle.Binfile.no_code);
-    Obs.Trace.record_span ~cat:"compile"
-      ~args:[ ("unit", name); ("stage", "static") ]
-      ~start_s:stage_start "compile.static"
-  | None -> ());
-  let codegen_start = Unix.gettimeofday () in
   let code = phase "translate" (fun () -> Translate.unit_code tdecs fields) in
   let code =
     if optimize then phase "simplify" (fun () -> Simplify.term code) else code
   in
-  let codeunit = Link.Codeunit.make ~exports:export.ex_exports code in
-  (match on_static with
-  | Some _ ->
-    Obs.Trace.record_span ~cat:"compile"
-      ~args:[ ("unit", name); ("stage", "codegen") ]
-      ~start_s:codegen_start "compile.codegen"
-  | None -> ());
   Obs.Metrics.incr m_units;
-  assemble codeunit
+  {
+    Pickle.Binfile.uf_name = name;
+    uf_static_pid = export.ex_static_pid;
+    uf_env = export.ex_env;
+    uf_import_statics =
+      List.map
+        (fun (uf : Pickle.Binfile.t) -> (uf.uf_name, uf.uf_static_pid))
+        imports;
+    uf_name_statics = export.ex_name_statics;
+    uf_import_name_statics;
+    uf_codeunit = Link.Codeunit.make ~exports:export.ex_exports code;
+  }
 
 let load session bytes = Pickle.Binfile.read session.ctx bytes
 let save session unit_ = Pickle.Binfile.write session.ctx unit_
-let save_static session unit_ = Pickle.Binfile.write_static session.ctx unit_
 let execute ?output ?bin_path unit_ dynenv =
   Link.Linker.execute ?output ~unit_name:unit_.Pickle.Binfile.uf_name ?bin_path
     unit_.Pickle.Binfile.uf_codeunit dynenv

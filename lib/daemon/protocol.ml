@@ -1,6 +1,6 @@
 module Buf = Pickle.Buf
 
-let version = "smlsep-daemon/2"
+let version = "smlsep-daemon/3"
 
 (* disjoint from the worker protocol's 0..5 tag space *)
 let k_hello = 16
@@ -27,7 +27,6 @@ type build_opts = {
   b_werror : bool;
   b_max_errors : int option;
   b_error_json : bool;
-  b_schedule : string;
 }
 
 type request =
@@ -50,8 +49,7 @@ let write_opts w o =
   Buf.bool w o.b_keep_going;
   Buf.bool w o.b_werror;
   Buf.option w (Buf.int w) o.b_max_errors;
-  Buf.bool w o.b_error_json;
-  Buf.string w o.b_schedule
+  Buf.bool w o.b_error_json
 
 let read_opts r =
   let b_group = Buf.read_string r in
@@ -62,7 +60,6 @@ let read_opts r =
   let b_werror = Buf.read_bool r in
   let b_max_errors = Buf.read_option r (fun () -> Buf.read_int r) in
   let b_error_json = Buf.read_bool r in
-  let b_schedule = Buf.read_string r in
   {
     b_group;
     b_policy;
@@ -72,7 +69,6 @@ let read_opts r =
     b_werror;
     b_max_errors;
     b_error_json;
-    b_schedule;
   }
 
 let encode_request req =

@@ -16,9 +16,10 @@
     interleave.  {!k_error} frames carry a human-readable reason for
     protocol-level failures. *)
 
-(** Protocol version, exchanged at HELLO: ["smlsep-daemon/2"] (v2
+(** Protocol version, exchanged at HELLO: ["smlsep-daemon/3"] (v2
     added the hot-swap requests {!request.Swap} and {!request.Epochs}
-    and the epoch fields in the status envelope). *)
+    and the epoch fields in the status envelope; v3 dropped the
+    schedule from {!build_opts}). *)
 val version : string
 
 (** {2 Frame kinds} *)
@@ -51,7 +52,6 @@ type build_opts = {
   b_werror : bool;
   b_max_errors : int option;
   b_error_json : bool;  (** diagnostics as the [smlsep-diag/1] envelope *)
-  b_schedule : string;  (** [wavefront] or [critical-path] *)
 }
 
 type request =

@@ -104,7 +104,6 @@ let default_opts cfg group =
     b_werror = false;
     b_max_errors = None;
     b_error_json = false;
-    b_schedule = "wavefront";
   }
 
 let group_state t group =
@@ -131,17 +130,6 @@ let policy_of = function
   | "cutoff" -> Some Driver.Cutoff
   | "timestamp" -> Some Driver.Timestamp
   | "selective" -> Some Driver.Selective
-  | _ -> None
-
-(* [auto] resolves against the daemon's warm profile store, mirroring
-   the CLI's in-process default *)
-let schedule_of t = function
-  | "wavefront" -> Some Driver.Wavefront
-  | "critical-path" -> Some Driver.Critical_path
-  | "auto" ->
-    Some
-      (if Obs.Profile.builds t.profile = [] then Driver.Wavefront
-       else Driver.Critical_path)
   | _ -> None
 
 let cache_of t enabled =
@@ -290,18 +278,11 @@ let reconcile t g ~abort_check =
 
 let serve_build ?abort_check t opts ~and_run =
   let open Protocol in
-  match (policy_of opts.b_policy, schedule_of t opts.b_schedule) with
-  | None, _ ->
+  match policy_of opts.b_policy with
+  | None ->
     ( { r_code = 2; r_out = ""; r_err = Printf.sprintf "unknown policy %S\n" opts.b_policy },
       [] )
-  | _, None ->
-    ( {
-        r_code = 2;
-        r_out = "";
-        r_err = Printf.sprintf "unknown schedule %S\n" opts.b_schedule;
-      },
-      [] )
-  | Some policy, Some schedule ->
+  | Some policy ->
     guard ~json:opts.b_error_json (fun () ->
         let g = group_state t opts.b_group in
         let sources = Irm.Group.load t.fs opts.b_group in
@@ -314,7 +295,6 @@ let serve_build ?abort_check t opts ~and_run =
         let stats =
           Driver.build
             ~backend:(Sched.of_jobs opts.b_jobs)
-            ~schedule
             ?cache:(Option.map Cache.ops (cache_of t opts.b_cache)) ~profile:t.profile
             ~keep_going:opts.b_keep_going ~werror:opts.b_werror
             ?max_errors:opts.b_max_errors g.g_mgr ~policy ~sources

@@ -13,19 +13,6 @@ type backend = Sched.backend =
   | Workers of Worker.config
   | Remote of Remote.Fleet.config
 
-(* how the scheduler orders ready work.  [Wavefront] is the plain FIFO
-   wavefront; [Critical_path] ranks ready units by the length of the
-   longest downstream chain (estimated from the profile store's EWMA
-   compile times) and pipelines each compile's static/codegen phases so
-   dependents start against a unit's static view while its code is
-   still being generated.  Outcomes are byte-identical either way — the
-   schedule steers only when work starts. *)
-type schedule = Wavefront | Critical_path
-
-let schedule_name = function
-  | Wavefront -> "wavefront"
-  | Critical_path -> "critical-path"
-
 (* why a unit was recompiled.  Derived from the exact comparisons the
    policies make for the staleness decision itself — the cause is the
    decision, not a parallel reconstruction that could drift. *)
@@ -67,8 +54,6 @@ type stats = {
   st_jobs : int;
   st_slot_busy_s : float list;
   st_causes : (string * cause) list;
-  st_schedule : schedule;
-  st_static_releases : int;
 }
 
 let m_recompiled = Obs.Metrics.counter "build.recompiled"
@@ -157,7 +142,6 @@ type job = Wire.job = {
   j_werror : bool;  (** promote warnings to errors *)
   j_limit : int option;  (** collector error limit *)
   j_build : int;  (** build id, for cross-process trace correlation *)
-  j_split : bool;  (** release the static view mid-compile *)
 }
 
 type kind = Wire.kind = Recompiled | Loaded | Cache_hit
@@ -198,9 +182,9 @@ let outcome_of stats file =
   else if mem stats.st_loaded then "loaded"
   else "unknown"
 
-let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
-    ?(retries = 2) ?(backoff_s = 0.001) ?(keep_going = false)
-    ?(werror = false) ?max_errors t ~policy ~sources =
+let build ?(backend = Serial) ?cache ?profile ?(retries = 2)
+    ?(backoff_s = 0.001) ?(keep_going = false) ?(werror = false) ?max_errors t
+    ~policy ~sources =
   let build_id =
     match profile with
     | Some p -> Obs.Profile.next_id p
@@ -213,7 +197,6 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
       [
         ("policy", policy_name policy);
         ("backend", Sched.backend_name backend);
-        ("schedule", schedule_name schedule);
         ("build", string_of_int build_id);
       ]
     "build"
@@ -251,77 +234,6 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
   let changed = Hashtbl.create 16 in
   let preps : (string, prep) Hashtbl.t = Hashtbl.create 16 in
   let results : (string, result * float) Hashtbl.t = Hashtbl.create 16 in
-  (* critical-path priorities: rank every unit by the length of the
-     longest chain from it to a sink, with per-unit compile times
-     estimated from the profile store's EWMA aggregate (1 s for units
-     never compiled — a damaged or absent store degrades to uniform
-     estimates, i.e. longest-chain-by-depth, never an error).  The
-     reversed topological order makes one pass suffice: every
-     dependent's length is already known when a unit is visited. *)
-  let priorities : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  (match schedule with
-  | Wavefront -> ()
-  | Critical_path ->
-    let est file =
-      match Option.bind profile (fun p -> Obs.Profile.aggregate p file) with
-      | Some a -> Float.max 1e-6 a.Obs.Profile.ag_ewma_s
-      | None -> 1.0
-    in
-    let dependents = Hashtbl.create 16 in
-    List.iter
-      (fun file ->
-        List.iter
-          (fun dep ->
-            Hashtbl.replace dependents dep
-              (file
-              :: Option.value ~default:[] (Hashtbl.find_opt dependents dep)))
-          (deps_of file))
-      order;
-    List.iter
-      (fun file ->
-        let downstream =
-          List.fold_left
-            (fun acc d ->
-              Float.max acc
-                (Option.value ~default:0. (Hashtbl.find_opt priorities d)))
-            0.
-            (Option.value ~default:[] (Hashtbl.find_opt dependents file))
-        in
-        Hashtbl.replace priorities file (est file +. downstream))
-      (List.rev order));
-  let priority_of file =
-    Option.value ~default:0. (Hashtbl.find_opt priorities file)
-  in
-  (* the pipelined split: a compile's static view arrives mid-job;
-     registering it in [t.units]/[t.bin_bytes] is exactly what unblocks
-     dependents — their [prepare] reads pids from [t.units] and their
-     closures ship the registered bytes.  Marking [changed] here keeps
-     the Timestamp cascade identical to the unsplit build (the full
-     result re-marks it later, idempotently).  A static bin rehydrates
-     with a [no_code] placeholder; the full unit and bytes overwrite
-     both tables when the job completes. *)
-  let static_releases = ref 0 in
-  let split =
-    match schedule with
-    | Wavefront -> None
-    | Critical_path ->
-      Some
-        {
-          Sched.sp_execute = (fun ~notify job -> Wire.execute ~notify job);
-          sp_on_static =
-            (fun file payload ->
-              match rehydrate t file payload with
-              | unit_ ->
-                Hashtbl.replace t.units file unit_;
-                Hashtbl.replace t.bin_bytes file payload;
-                Hashtbl.replace changed file ();
-                incr static_releases
-              | exception Pickle.Buf.Corrupt _ ->
-                (* cannot happen: in-process payloads are the compiler's
-                   own bytes and the worker pipe is CRC-framed *)
-                ());
-        }
-  in
   let unit_of_dep file dep =
     match Hashtbl.find_opt t.units dep with
     | Some unit_ -> unit_
@@ -482,7 +394,6 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
           j_werror = werror;
           j_limit = max_errors;
           j_build = build_id;
-          j_split = (schedule = Critical_path);
         }
     in
     if not stale then begin
@@ -564,81 +475,85 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
     | Sched.Workers _ | Sched.Remote _ -> Some (Wire.codec ())
     | Sched.Serial -> None
   in
+  (* one unit's profile record; [culprits] overrides the cause's *)
+  let unit_profile ?culprits file outcome =
+    let prep = Hashtbl.find_opt preps file in
+    let res = Hashtbl.find_opt results file in
+    let cause = Option.bind prep (fun pr -> pr.p_cause) in
+    {
+      Obs.Profile.up_unit = file;
+      up_outcome = outcome;
+      up_cause = Option.map cause_name cause;
+      up_culprits =
+        (match culprits with
+        | Some cs -> cs
+        | None -> Option.fold ~none:[] ~some:cause_culprits cause);
+      up_start_s =
+        (match prep with Some pr -> pr.p_start -. build_start | None -> 0.);
+      up_wall_s = (match res with Some (_, s) -> s | None -> 0.);
+      up_phases = (match res with Some (r, _) -> r.r_phases | None -> []);
+      up_imports =
+        List.map
+          (fun dep ->
+            ( dep,
+              match Hashtbl.find_opt t.units dep with
+              | Some u -> Pid.to_hex u.Pickle.Binfile.uf_static_pid
+              | None -> "" ))
+          (deps_of file);
+    }
+  in
+  let record_profile ~wall_s ~jobs ~slot_busy_s bp_units =
+    Option.iter
+      (fun p ->
+        Obs.Profile.record p
+          {
+            Obs.Profile.bp_id = build_id;
+            bp_policy = policy_name policy;
+            bp_backend = Sched.backend_name backend;
+            bp_wall_s = wall_s;
+            bp_jobs = jobs;
+            bp_slot_busy_s = slot_busy_s;
+            bp_units;
+          })
+      profile
+  in
   (* a signal arriving mid-build raises [Interrupted] out of a node
      callback; the partial build still lands in the profile store (only
      the units that actually finished), so `irm profile` shows what an
      interrupted build managed to do before it died *)
   let record_partial reason =
-    match profile with
-    | None -> ()
-    | Some p ->
-      let cutoff_of file prep =
-        match (prep.p_prev_pid, Hashtbl.find_opt t.units file) with
-        | Some old, Some unit_ ->
-          Pid.equal old unit_.Pickle.Binfile.uf_static_pid
-        | _ -> false
-      in
-      let bp_units =
-        List.filter_map
-          (fun file ->
-            match (Hashtbl.find_opt preps file, Hashtbl.find_opt results file)
-            with
-            | Some prep, Some (res, wall) ->
-              Some
-                {
-                  Obs.Profile.up_unit = file;
-                  up_outcome =
-                    (match res.r_kind with
-                    | Loaded -> "loaded"
-                    | Cache_hit -> "cache"
-                    | Recompiled ->
-                      if cutoff_of file prep then "cutoff" else "recompiled");
-                  up_cause = Option.map cause_name prep.p_cause;
-                  up_culprits =
-                    Option.value ~default:[]
-                      (Option.map cause_culprits prep.p_cause);
-                  up_start_s = prep.p_start -. build_start;
-                  up_wall_s = wall;
-                  up_phases = res.r_phases;
-                  up_imports =
-                    List.map
-                      (fun dep ->
-                        ( dep,
-                          match Hashtbl.find_opt t.units dep with
-                          | Some u -> Pid.to_hex u.Pickle.Binfile.uf_static_pid
-                          | None -> "" ))
-                      (deps_of file);
-                  up_priority = priority_of file;
-                }
-            | _ -> None)
-          order
-      in
+    let finished file =
+      match (Hashtbl.find_opt preps file, Hashtbl.find_opt results file) with
+      | Some prep, Some (res, _) ->
+        let cutoff =
+          match (prep.p_prev_pid, Hashtbl.find_opt t.units file) with
+          | Some old, Some unit_ ->
+            Pid.equal old unit_.Pickle.Binfile.uf_static_pid
+          | _ -> false
+        in
+        Some
+          (unit_profile file
+             (match res.r_kind with
+             | Loaded -> "loaded"
+             | Cache_hit -> "cache"
+             | Recompiled -> if cutoff then "cutoff" else "recompiled"))
+      | _ -> None
+    in
+    if Option.is_some profile then begin
       Obs.Trace.instant ~cat:"build"
         ~args:[ ("reason", reason) ]
         "build.interrupted";
-      Obs.Profile.record p
-        {
-          Obs.Profile.bp_id = build_id;
-          bp_policy = policy_name policy;
-          bp_backend = Sched.backend_name backend;
-          bp_wall_s = Unix.gettimeofday () -. build_start;
-          bp_jobs = Sched.jobs backend;
-          bp_slot_busy_s = [];
-          bp_schedule = schedule_name schedule;
-          bp_static_releases = !static_releases;
-          bp_units;
-        }
+      record_profile
+        ~wall_s:(Unix.gettimeofday () -. build_start)
+        ~jobs:(Sched.jobs backend) ~slot_busy_s:[]
+        (List.filter_map finished order)
+    end
   in
   let outcomes =
     try
       Sched.run ~retries ~backoff_s ~retryable:transient_fault ~keep_going
         ~fatal:(function Interrupted _ -> true | _ -> false)
-        ?codec
-        ?priority:
-          (match schedule with
-          | Wavefront -> None
-          | Critical_path -> Some priority_of)
-        ?split backend ~order ~deps:deps_of ~prepare ~execute ~complete
+        ?codec backend ~order ~deps:deps_of ~prepare ~execute ~complete
     with Interrupted reason as exn ->
       record_partial reason;
       raise exn
@@ -731,62 +646,18 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
             Option.bind (Hashtbl.find_opt preps f) (fun p ->
                 Option.map (fun c -> (f, c)) p.p_cause))
           order;
-      st_schedule = schedule;
-      st_static_releases = !static_releases;
     }
   in
   (* fold the build into the profile store (crash-safe journal append) *)
-  (match profile with
-  | None -> ()
-  | Some p ->
-    let skipped_tbl = Hashtbl.create 8 in
-    List.iter (fun (f, c) -> Hashtbl.replace skipped_tbl f c) skipped;
-    let bp_units =
-      List.map
-        (fun file ->
-          let prep = Hashtbl.find_opt preps file in
-          let res = Hashtbl.find_opt results file in
-          let cause = Option.bind prep (fun pr -> pr.p_cause) in
-          {
-            Obs.Profile.up_unit = file;
-            up_outcome = outcome_of stats file;
-            up_cause = Option.map cause_name cause;
-            up_culprits =
-              (match Hashtbl.find_opt skipped_tbl file with
-              | Some culprit -> [ culprit ]
-              | None ->
-                Option.value ~default:[] (Option.map cause_culprits cause));
-            up_start_s =
-              (match prep with
-              | Some pr -> pr.p_start -. build_start
-              | None -> 0.);
-            up_wall_s =
-              (match res with Some (_, s) -> s | None -> 0.);
-            up_phases = (match res with Some (r, _) -> r.r_phases | None -> []);
-            up_imports =
-              List.map
-                (fun dep ->
-                  ( dep,
-                    match Hashtbl.find_opt t.units dep with
-                    | Some u -> Pid.to_hex u.Pickle.Binfile.uf_static_pid
-                    | None -> "" ))
-                (deps_of file);
-            up_priority = priority_of file;
-          })
-        order
-    in
-    Obs.Profile.record p
-      {
-        Obs.Profile.bp_id = build_id;
-        bp_policy = policy_name policy;
-        bp_backend = Sched.backend_name backend;
-        bp_wall_s = stats.st_wall_s;
-        bp_jobs = stats.st_jobs;
-        bp_slot_busy_s = stats.st_slot_busy_s;
-        bp_schedule = schedule_name schedule;
-        bp_static_releases = !static_releases;
-        bp_units;
-      });
+  record_profile ~wall_s:stats.st_wall_s ~jobs:stats.st_jobs
+    ~slot_busy_s:stats.st_slot_busy_s
+    (List.map
+       (fun file ->
+         unit_profile
+           ?culprits:
+             (Option.map (fun c -> [ c ]) (List.assoc_opt file skipped))
+           file (outcome_of stats file))
+       order);
   stats
 
 let unit_of t file =

@@ -2,6 +2,9 @@ module P = Obs.Profile
 
 type rendered = { out : string; err : string; code : int }
 
+(* the version of the [irm explain]/[irm profile] JSON envelopes *)
+let profile_version = "smlsep-profile/2"
+
 let no_builds =
   {
     out = "";
@@ -129,7 +132,7 @@ let explain p ~unit_name ~json =
             Obs.Json.to_canonical_string
               (Obs.Json.Obj
                  [
-                   ("version", Obs.Json.String "smlsep-profile/1");
+                   ("version", Obs.Json.String profile_version);
                    ("unit", Obs.Json.String unit_name);
                    ("build", Obs.Json.Int b.P.bp_id);
                    ("policy", Obs.Json.String b.P.bp_policy);
@@ -245,7 +248,6 @@ let profile_envelope p b ~top =
         ("cause", opt_json (fun c -> String c) u.P.up_cause);
         ("culprits", List (List.map (fun c -> String c) u.P.up_culprits));
         ("wall_s", Float u.P.up_wall_s);
-        ("priority", Float u.P.up_priority);
         ("phases", Obj (List.map (fun (n, s) -> (n, Float s)) u.P.up_phases));
       ]
   in
@@ -253,7 +255,7 @@ let profile_envelope p b ~top =
     top_units,
     Obj
       [
-        ("version", String "smlsep-profile/1");
+        ("version", String profile_version);
         ( "build",
           Obj
             [
@@ -262,8 +264,6 @@ let profile_envelope p b ~top =
               ("backend", String b.P.bp_backend);
               ("wall_s", Float b.P.bp_wall_s);
               ("jobs", Int b.P.bp_jobs);
-              ("schedule", String b.P.bp_schedule);
-              ("static_releases", Int b.P.bp_static_releases);
               ("efficiency", opt_json (fun e -> Float e) (P.efficiency b));
               ( "counts",
                 Obj
@@ -298,13 +298,10 @@ let profile_report p ~json ~top =
     else begin
       let buf = Buffer.create 256 in
       let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-      pr "build %d  (%s policy, %s, %.1f ms wall, %d jobs, %s schedule)\n"
-        b.P.bp_id b.P.bp_policy b.P.bp_backend
+      pr "build %d  (%s policy, %s, %.1f ms wall, %d jobs)\n" b.P.bp_id
+        b.P.bp_policy b.P.bp_backend
         (1000. *. b.P.bp_wall_s)
-        b.P.bp_jobs b.P.bp_schedule;
-      if b.P.bp_static_releases > 0 then
-        pr "  pipelined      %d static views released early\n"
-          b.P.bp_static_releases;
+        b.P.bp_jobs;
       (match P.efficiency b with
       | Some e -> pr "  efficiency     %.0f%% of slot time busy\n" (100. *. e)
       | None -> ());

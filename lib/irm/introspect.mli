@@ -15,7 +15,7 @@ type rendered = { out : string; err : string; code : int }
 (** [explain p ~unit_name ~json] — why [unit_name] was rebuilt in the
     last recorded build: outcome, cause and culprits, wall time and
     phases, the units it poisoned downstream, and its compile-time
-    history.  [json] renders the [smlsep-profile/1] envelope
+    history.  [json] renders the [smlsep-profile/2] envelope
     (canonical form) instead of text.  Exit code 1 (with the reason on
     [err]) when nothing is recorded or the unit is not part of the
     last build. *)
@@ -49,5 +49,5 @@ val report_diagnostics :
 (** [profile_report p ~json ~top] — the last recorded build's summary:
     counts, rebuild causes, critical path, [top] slowest units,
     scheduler efficiency and store occupancy.  [json] renders the
-    [smlsep-profile/1] envelope (canonical form). *)
+    [smlsep-profile/2] envelope (canonical form). *)
 val profile_report : Obs.Profile.t -> json:bool -> top:int -> rendered

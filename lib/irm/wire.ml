@@ -11,7 +11,6 @@ type job = {
   j_werror : bool;
   j_limit : int option;
   j_build : int;
-  j_split : bool;
 }
 
 type kind = Recompiled | Loaded | Cache_hit
@@ -34,7 +33,7 @@ let manager_error fmt = Diag.error Diag.Manager Loc.dummy fmt
    or how many, ran the job.  The serial backend runs this very
    function inline, so Serial and Workers builds agree byte-for-byte by
    construction. *)
-let execute ?notify job =
+let execute job =
   Obs.Trace.span ~cat:"compile"
     ~args:[ ("unit", job.j_name); ("build", string_of_int job.j_build) ]
     "build.compile_job"
@@ -68,23 +67,9 @@ let execute ?notify job =
     else None
   in
   let rehydrate_s = Unix.gettimeofday () -. t0 in
-  (* the pipelined split: when the scheduler asked for it, ship the
-     unit's static view (pickled with the static-only magic) the moment
-     elaboration/hashing fixes it, then keep generating code.  The
-     compile itself records the [compile.static]/[compile.codegen]
-     stage spans, nested inside its compile.unit span, so a merged
-     trace shows dependents overlapping this unit's codegen. *)
-  let on_static =
-    match notify with
-    | Some fire when job.j_split ->
-      Some
-        (fun static_view ->
-          fire (Sepcomp.Compile.save_static session static_view))
-    | Some _ | None -> None
-  in
   let unit_, phases =
     Obs.Trace.record_phases (fun () ->
-        Sepcomp.Compile.compile ?diags ?on_static session ~name:job.j_name
+        Sepcomp.Compile.compile ?diags session ~name:job.j_name
           ~source:job.j_source ~imports)
   in
   (* the collector also sees the enclosing compile.unit span — drop it,
@@ -127,7 +112,6 @@ let encode_job job =
   Buf.bool w job.j_werror;
   Buf.option w (Buf.int w) job.j_limit;
   Buf.int w job.j_build;
-  Buf.bool w job.j_split;
   Buf.contents w
 
 let decode_job payload =
@@ -145,7 +129,6 @@ let decode_job payload =
   let j_werror = Buf.read_bool r in
   let j_limit = Buf.read_option r (fun () -> Buf.read_int r) in
   let j_build = Buf.read_int r in
-  let j_split = Buf.read_bool r in
   {
     j_name;
     j_source;
@@ -155,7 +138,6 @@ let decode_job payload =
     j_werror;
     j_limit;
     j_build;
-    j_split;
   }
 
 let kind_byte = function Recompiled -> 0 | Loaded -> 1 | Cache_hit -> 2
@@ -338,11 +320,11 @@ let remote_fail ~id = function
 let proto () =
   {
     Worker.p_handler =
-      (fun ~notify ~id:_ payload ->
+      (fun ~id:_ payload ->
         (* the compile's counters travel with the reply and are added
            where the result is decoded (see [codec]) *)
         let result, r_counters =
-          Obs.Metrics.detach (fun () -> execute ~notify (decode_job payload))
+          Obs.Metrics.detach (fun () -> execute (decode_job payload))
         in
         encode_result { result with r_counters });
     p_encode_exn = encode_exn;

@@ -23,9 +23,6 @@ type unit_profile = {
   up_wall_s : float;
   up_phases : (string * float) list;
   up_imports : (string * string) list;  (** (dep, interface pid hex) *)
-  up_priority : float;
-      (** the critical-path priority the scheduler dispatched under
-          (0 on wavefront builds and for pre-scheduling records) *)
 }
 
 type build_profile = {
@@ -35,9 +32,6 @@ type build_profile = {
   bp_wall_s : float;
   bp_jobs : int;
   bp_slot_busy_s : float list;
-  bp_schedule : string;  (** [wavefront] or [critical-path] *)
-  bp_static_releases : int;
-      (** units whose static view was released before codegen finished *)
   bp_units : unit_profile list;
 }
 
@@ -82,11 +76,6 @@ let jobj = function Json.Obj fields -> fields | _ -> raise Damaged
 let field name v =
   match Json.member name v with Some x -> x | None -> raise Damaged
 
-(* fields added after stores already existed read back with a default,
-   so an old snapshot/journal replays without damage *)
-let opt_field name ~default of_json v =
-  match Json.member name v with Some x -> of_json x | None -> default
-
 let pairs_json xs = Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) xs)
 let pairs_of_json v = List.map (fun (k, v) -> (k, jnum v)) (jobj v)
 
@@ -103,7 +92,6 @@ let unit_json u =
       ("phases", pairs_json u.up_phases);
       ( "imports",
         Json.Obj (List.map (fun (d, p) -> (d, Json.String p)) u.up_imports) );
-      ("priority", Json.Float u.up_priority);
     ]
 
 let unit_of_json v =
@@ -120,7 +108,6 @@ let unit_of_json v =
     up_wall_s = jnum (field "wall_s" v);
     up_phases = pairs_of_json (field "phases" v);
     up_imports = List.map (fun (d, p) -> (d, jstr p)) (jobj (field "imports" v));
-    up_priority = opt_field "priority" ~default:0. jnum v;
   }
 
 let build_json b =
@@ -132,8 +119,6 @@ let build_json b =
       ("wall_s", Json.Float b.bp_wall_s);
       ("jobs", Json.Int b.bp_jobs);
       ("slot_busy_s", Json.List (List.map (fun s -> Json.Float s) b.bp_slot_busy_s));
-      ("schedule", Json.String b.bp_schedule);
-      ("static_releases", Json.Int b.bp_static_releases);
       ("units", Json.List (List.map unit_json b.bp_units));
     ]
 
@@ -145,8 +130,6 @@ let build_of_json v =
     bp_wall_s = jnum (field "wall_s" v);
     bp_jobs = jint (field "jobs" v);
     bp_slot_busy_s = List.map jnum (jlist (field "slot_busy_s" v));
-    bp_schedule = opt_field "schedule" ~default:"wavefront" jstr v;
-    bp_static_releases = opt_field "static_releases" ~default:0 jint v;
     bp_units = List.map unit_of_json (jlist (field "units" v));
   }
 

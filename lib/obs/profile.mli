@@ -5,9 +5,7 @@
     its per-phase compile durations, and the interface pids of its
     imports.  The store keeps a bounded history of whole builds plus a
     rolling per-unit aggregate (EWMA + max of compile time) across all
-    builds — the duration feed a profile-guided critical-path scheduler
-    needs (ROADMAP item 4), and the database behind [irm explain] and
-    [irm profile].
+    builds — the database behind [irm explain] and [irm profile].
 
     Persistence mirrors the cache index: a CRC-64-trailed snapshot
     ([<dir>/store]) plus a journal of CRC-prefixed build records
@@ -15,7 +13,8 @@
     protocol ({!Vfs.commit}).  A crash anywhere leaves a state that
     loads as a prefix of the true history; anything that fails its CRC
     or does not parse is dropped — a damaged store is an empty store,
-    never an error. *)
+    never an error.  Records are read by field name, so keys an older
+    version wrote and this one no longer does are ignored. *)
 
 (** One unit's record within one build. *)
 type unit_profile = {
@@ -36,10 +35,6 @@ type unit_profile = {
       (** per-phase compile seconds ([parse], [elaborate], …) *)
   up_imports : (string * string) list;
       (** (direct dependency, its interface pid in hex; [""] unknown) *)
-  up_priority : float;
-      (** the critical-path priority the scheduler dispatched under (0
-          on wavefront builds; records from before scheduling existed
-          read back as 0) *)
 }
 
 (** One whole build. *)
@@ -50,12 +45,6 @@ type build_profile = {
   bp_wall_s : float;
   bp_jobs : int;
   bp_slot_busy_s : float list;  (** execute seconds per scheduler slot *)
-  bp_schedule : string;
-      (** [wavefront] or [critical-path]; old records read back as
-          [wavefront] *)
-  bp_static_releases : int;
-      (** units whose static view was released to dependents before
-          their code generation finished *)
   bp_units : unit_profile list;  (** in build order *)
 }
 

@@ -13,12 +13,6 @@ type t = {
 }
 
 let magic = "SMLSEP.BIN.4"
-let static_magic = "SMLSEP.STA.4"
-
-(* a placeholder codeUnit for static-only views of a unit: the statics
-   (env, pids) are real, the code is not there yet *)
-let no_code =
-  { Link.Codeunit.cu_imports = []; cu_exports = []; cu_code = L.Ltuple [] }
 
 let m_bytes_written = Obs.Metrics.counter "pickle.bytes_written"
 let m_bytes_read = Obs.Metrics.counter "pickle.bytes_read"
@@ -214,10 +208,8 @@ let rec read_lambda r : L.t =
 
 (* The static part of a unit — everything a dependent needs to compile
    against it (name, pids, own-stamp table, environment) — is pickled
-   as one self-contained blob.  A full bin file embeds the blob
-   length-prefixed ahead of the codeUnit, so the static view can be
-   sliced out of an existing full bin by pure byte surgery
-   ({!static_of_full}): no context, no re-pickling. *)
+   as one self-contained blob, embedded length-prefixed ahead of the
+   codeUnit. *)
 let static_payload ctx uf =
   let w = Buf.writer () in
   Buf.string w uf.uf_name;
@@ -268,6 +260,8 @@ let static_payload ctx uf =
   Serial.write_env w ctx ~token ~with_addrs:true uf.uf_env;
   Buf.contents w
 
+(* parses the blob, registering the unit's own stamps in [ctx], and
+   returns the unit awaiting its codeUnit *)
 let read_static_payload ctx blob =
   let r = Buf.reader blob in
   let uf_name = Buf.read_string r in
@@ -317,15 +311,16 @@ let read_static_payload ctx blob =
     entries;
   let uf_env = Serial.read_env r ~resolve in
   if not (Buf.at_end r) then raise (Buf.Corrupt "trailing static bytes");
-  {
-    uf_name;
-    uf_static_pid;
-    uf_env;
-    uf_import_statics;
-    uf_name_statics;
-    uf_import_name_statics;
-    uf_codeunit = no_code;
-  }
+  fun uf_codeunit ->
+    {
+      uf_name;
+      uf_static_pid;
+      uf_env;
+      uf_import_statics;
+      uf_name_statics;
+      uf_import_name_statics;
+      uf_codeunit;
+    }
 
 (* fixed-width big-endian CRC-64 trailer: readers can locate and
    verify it before parsing a single payload byte *)
@@ -367,47 +362,16 @@ let write ctx uf =
   Obs.Metrics.add m_bytes_written (String.length bytes);
   bytes
 
-let write_static ctx uf =
-  Obs.Trace.span ~cat:"pickle"
-    ~args:[ ("unit", uf.uf_name) ]
-    "pickle.write_static"
-  @@ fun () ->
-  let w = Buf.writer () in
-  Buf.string w static_magic;
-  Buf.string w (static_payload ctx uf);
-  let bytes = seal (Buf.contents w) in
-  Obs.Metrics.add m_bytes_written (String.length bytes);
-  bytes
-
-let static_of_full data =
-  let payload = unseal data in
-  let r = Buf.reader payload in
-  let m = Buf.read_string r in
-  if String.equal m static_magic then data
-  else if not (String.equal m magic) then raise (Buf.Corrupt "bad magic")
-  else begin
-    let blob = Buf.read_string r in
-    let w = Buf.writer () in
-    Buf.string w static_magic;
-    Buf.string w blob;
-    seal (Buf.contents w)
-  end
-
 let read ctx data =
   Obs.Trace.span ~cat:"pickle" "pickle.read" @@ fun () ->
   Obs.Metrics.add m_bytes_read (String.length data);
   Obs.Metrics.incr m_rehydrations;
   let payload = unseal data in
   let r = Buf.reader payload in
-  let m = Buf.read_string r in
-  if String.equal m static_magic then begin
-    let uf = read_static_payload ctx (Buf.read_string r) in
-    if not (Buf.at_end r) then raise (Buf.Corrupt "trailing bytes");
-    uf
-  end
-  else if not (String.equal m magic) then raise (Buf.Corrupt "bad magic")
+  if not (String.equal (Buf.read_string r) magic) then
+    raise (Buf.Corrupt "bad magic")
   else begin
-    let uf = read_static_payload ctx (Buf.read_string r) in
+    let with_code = read_static_payload ctx (Buf.read_string r) in
     let cu_imports = Buf.read_list r (fun () -> Buf.read_pid r) in
     let cu_exports =
       Buf.read_list r (fun () ->
@@ -417,7 +381,7 @@ let read ctx data =
     in
     let cu_code = read_lambda r in
     if not (Buf.at_end r) then raise (Buf.Corrupt "trailing bytes");
-    { uf with uf_codeunit = { Link.Codeunit.cu_imports; cu_exports; cu_code } }
+    with_code { Link.Codeunit.cu_imports; cu_exports; cu_code }
   end
 
 let size_of ctx uf = String.length (write ctx uf)

@@ -17,11 +17,8 @@
 
     Because the static blob is length-prefixed, the {e static view} of
     a unit — all a dependent needs to compile against it, per the
-    paper's statenv/codeUnit factoring — can be sliced out of a full
-    bin by pure byte surgery ({!static_of_full}), or written directly
-    ({!write_static}) before the unit's code generation has even run.
-    Static bins carry their own magic and rehydrate with a {!no_code}
-    placeholder codeUnit. *)
+    paper's statenv/codeUnit factoring — sits in a full bin as one
+    contiguous, separately readable string. *)
 
 type t = {
   uf_name : string;  (** the compilation unit's name (source path) *)
@@ -43,32 +40,11 @@ type t = {
     content-addressed cache keys. *)
 val magic : string
 
-(** The magic of a static-only bin ("SMLSEP.STA.…"): the static blob
-    without a codeUnit. *)
-val static_magic : string
-
-(** The placeholder codeUnit carried by a rehydrated static view: empty
-    imports/exports, unit code.  Never linked — dependents consume only
-    the statics. *)
-val no_code : Link.Codeunit.t
-
 (** [write ctx unit] — serialize to bytes. *)
 val write : Statics.Context.t -> t -> string
 
-(** [write_static ctx unit] — serialize only the static view (magic
-    {!static_magic}); [unit.uf_codeunit] is ignored. *)
-val write_static : Statics.Context.t -> t -> string
-
-(** [static_of_full bytes] — slice the static view out of a full bin by
-    byte surgery alone: no context, no re-pickling, and byte-for-byte
-    what {!write_static} would have produced for the same unit.  A
-    static bin passes through unchanged.
-    Raises {!Buf.Corrupt} on damage. *)
-val static_of_full : string -> string
-
 (** [read ctx bytes] — parse, verify magic + CRC, register the unit's
-    own stamps in [ctx], and return the Unit.  Accepts both full and
-    static bins; a static bin comes back with {!no_code}.
+    own stamps in [ctx], and return the Unit.
     Raises {!Buf.Corrupt} on damage. *)
 val read : Statics.Context.t -> string -> t
 

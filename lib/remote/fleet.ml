@@ -76,9 +76,8 @@ type t = {
   backoff : Support.Backoff.t;
   jobs : (string, jobst) Hashtbl.t;
   queue : string Queue.t;
-  events : Worker.event Queue.t;
+  events : (string * (string, exn) result) Queue.t;
   done_ : (string, unit) Hashtbl.t;
-  statics : (string, unit) Hashtbl.t;
   mutable degraded : bool;
   mutable warned_fallback : bool;
   mutable closed : bool;
@@ -112,7 +111,6 @@ let create cfg proto =
     queue = Queue.create ();
     events = Queue.create ();
     done_ = Hashtbl.create 64;
-    statics = Hashtbl.create 16;
     degraded = n = 0;
     warned_fallback = false;
     closed = false;
@@ -153,13 +151,7 @@ let job_done t id res =
       Hashtbl.remove t.jobs id
     | None -> ());
     Hashtbl.replace t.done_ id ();
-    Queue.push (Worker.Done (id, res)) t.events
-  end
-
-let push_static t id payload =
-  if not (Hashtbl.mem t.done_ id) && not (Hashtbl.mem t.statics id) then begin
-    Hashtbl.replace t.statics id ();
-    Queue.push (Worker.Static (id, payload)) t.events
+    Queue.push (id, res) t.events
   end
 
 (* compile in-process: purity makes the bytes identical to any
@@ -173,11 +165,7 @@ let run_local t id js =
   Obs.Metrics.incr m_fallback;
   let t0 = Unix.gettimeofday () in
   let res =
-    match
-      t.proto.Worker.p_handler
-        ~notify:(fun payload -> push_static t id payload)
-        ~id js.js_payload
-    with
+    match t.proto.Worker.p_handler ~id js.js_payload with
     | payload -> Ok payload
     | exception exn -> Error exn
   in
@@ -266,11 +254,7 @@ let drain_ready t i conn =
       | Transport.Connecting | Transport.Up -> ())
     | Some msg ->
       let k = msg.Frame.f_kind in
-      if k = Protocol.k_static then begin
-        push_static t msg.Frame.f_id msg.Frame.f_payload;
-        go ()
-      end
-      else if k = Protocol.k_result then begin
+      if k = Protocol.k_result then begin
         t.fails.(i) <- 0;
         job_done t msg.Frame.f_id (Ok msg.Frame.f_payload);
         go ()
@@ -504,7 +488,6 @@ let submit t ~id payload =
   in
   Hashtbl.replace t.jobs id js;
   Hashtbl.remove t.done_ id;
-  Hashtbl.remove t.statics id;
   if t.degraded && t.cfg.r_local_fallback then run_local t id js
   else Queue.push id t.queue
 
@@ -519,9 +502,9 @@ let conn_fds t =
       | Redial _ | Quarantined _ -> acc)
     [] t.states
 
-let next_event t =
-  if t.closed then invalid_arg "Fleet.next_event: fleet is shut down";
-  if pending t = 0 then invalid_arg "Fleet.next_event: no job pending";
+let next t =
+  if t.closed then invalid_arg "Fleet.next: fleet is shut down";
+  if pending t = 0 then invalid_arg "Fleet.next: no job pending";
   while Queue.is_empty t.events do
     step t;
     (match t.cfg.r_tick with Some f -> f () | None -> ());

@@ -3,7 +3,7 @@
     Frames are {!Pickle.Frame} messages — the same CRC-64-trailed
     framing the worker pipes and the compile daemon use — carried over
     a stream socket ({!Transport}).  The fabric's tag space (32–45) is
-    disjoint from both the worker protocol (0–6) and the daemon
+    disjoint from both the worker protocol (0–5) and the daemon
     protocol (16–20), so a frame aimed at the wrong peer is an
     immediate protocol error, never a misread.
 
@@ -16,9 +16,7 @@
 
     {b Executor service} ([irm serve-exec]): each compile goes out as
     one {!k_job} frame with the unit name as id and a {!Irm.Wire}
-    encoded job as payload; the executor replies with at most one
-    {!k_static} frame (the unit's static view, released mid-compile
-    when the job asks for the pipelined split) and exactly one
+    encoded job as payload; the executor replies with exactly one
     {!k_result} (encoded result) or {!k_error} (encoded exception),
     echoing the id.  Ids may interleave freely — an executor hosts a
     whole worker pool.
@@ -46,7 +44,6 @@ val k_ping : int  (** health probe; echoed verbatim *)
 
 val k_job : int
 val k_result : int
-val k_static : int
 
 (** {2 Cache-service frames} *)
 

@@ -71,31 +71,6 @@ type ('job, 'result) codec = {
   c_decode_result : string -> 'result;
 }
 
-(** The pipelined static/codegen phase split.
-
-    A compile's {e static} result (elaborated interface + export pid)
-    is all a dependent needs to start; the codeUnit is only consumed at
-    link time.  With a split installed, [sp_execute] replaces [execute]
-    and may call [notify payload] once, mid-job, as soon as the static
-    part is done; the scheduler runs [sp_on_static node payload] in the
-    calling process (register the static
-    view wherever [prepare] will look for it), and from that moment
-    treats the node's static gate as open — dependents dispatch and
-    overlap their compiles with the dependency's code generation.
-
-    Determinism is preserved: [complete] still only runs once every
-    dependency {e finished}, and if a dependency fails after releasing
-    its static view, any speculatively-computed dependent result is
-    discarded and the dependent finishes [Skipped] — exactly what a
-    serial run, which would never have attempted it, reports.  Under
-    the [Workers] backend [sp_execute] is not used (the child-side
-    [p_handler] performs the job and sends the notification in-band);
-    [sp_on_static] is used by every backend. *)
-type ('job, 'result) split = {
-  sp_execute : notify:(string -> unit) -> 'job -> 'result;
-  sp_on_static : string -> string -> unit;
-}
-
 (** A node's fate in the outcome list. *)
 type 'result outcome =
   | Completed of 'result
@@ -157,18 +132,10 @@ val last_slots : unit -> slots option
     as one more unit failure.  Worker pools are still shut down on the
     way out.
 
-    [priority] (default: constant [0.]) ranks the ready queue: among
-    dispatchable nodes the one with the {e highest} priority starts
-    first — feed it critical-path lengths to shrink the makespan.
-    Equal priorities dispatch in caller order, so the default is
-    exactly the plain wavefront and no priority map can ever perturb
-    outcomes: priorities steer only {e when} work starts, never what it
-    computes.  Dispatch is slot-paced (at most [jobs backend] jobs in
-    flight), so a node becoming ready late still outranks queued
-    lower-priority work.
-
-    [split] (default: none) enables the pipelined static/codegen phase
-    split — see {!type:split}. *)
+    Among dispatchable nodes the one earliest in [order] starts first,
+    and dispatch is slot-paced (at most [jobs backend] jobs in flight),
+    so a node becoming ready late still starts ahead of queued nodes
+    later in [order]. *)
 val run :
   ?retries:int ->
   ?backoff_s:float ->
@@ -177,8 +144,6 @@ val run :
   ?keep_going:bool ->
   ?fatal:(exn -> bool) ->
   ?codec:('job, 'result) codec ->
-  ?priority:(string -> float) ->
-  ?split:('job, 'result) split ->
   backend ->
   order:string list ->
   deps:(string -> string list) ->

@@ -17,7 +17,6 @@ let core_suites =
     ("simplify", Test_simplify.suite);
     ("matchcheck", Test_matchcheck.suite);
     ("interactive", Test_interactive.suite);
-    ("vm", Test_vm.suite);
     ("link", Test_link.suite);
     ("relink", Test_relink.suite);
     ("depend", Test_depend.suite);

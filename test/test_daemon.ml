@@ -21,7 +21,7 @@ let gen_string = QCheck.Gen.(string_size ~gen:char (int_range 0 30))
 let gen_build_opts =
   QCheck.Gen.(
     map
-      (fun (((group, policy, jobs, cache), (kg, werr, maxe, json)), sched) ->
+      (fun ((group, policy, jobs, cache), (kg, werr, maxe, json)) ->
         {
           Protocol.b_group = group;
           b_policy = policy;
@@ -31,15 +31,12 @@ let gen_build_opts =
           b_werror = werr;
           b_max_errors = maxe;
           b_error_json = json;
-          b_schedule = sched;
         })
       (pair
-         (pair
-            (quad gen_string
-               (oneofl [ "cutoff"; "timestamp"; "selective" ])
-               (int_range 0 64) bool)
-            (quad bool bool (opt (int_range 0 1000)) bool))
-         (oneofl [ "wavefront"; "critical-path" ])))
+         (quad gen_string
+            (oneofl [ "cutoff"; "timestamp"; "selective" ])
+            (int_range 0 64) bool)
+         (quad bool bool (opt (int_range 0 1000)) bool)))
 
 let gen_request =
   QCheck.Gen.(
@@ -234,8 +231,7 @@ let rpc srv c ~id req =
   in
   go []
 
-let build_opts ?(policy = "cutoff") ?(json = false) ?(schedule = "wavefront")
-    group =
+let build_opts ?(policy = "cutoff") ?(json = false) group =
   {
     Protocol.b_group = group;
     b_policy = policy;
@@ -245,7 +241,6 @@ let build_opts ?(policy = "cutoff") ?(json = false) ?(schedule = "wavefront")
     b_werror = false;
     b_max_errors = None;
     b_error_json = json;
-    b_schedule = schedule;
   }
 
 let status srv c ~id =
@@ -330,16 +325,22 @@ let test_half_open_socket_times_out () =
     (Unix.gettimeofday () -. t0 >= 0.25)
 
 let test_version_mismatch_rejected () =
+  Alcotest.(check string) "protocol version" "smlsep-daemon/3" Protocol.version;
   let dir = fresh_project () in
   with_server (test_config dir) @@ fun srv ->
-  let c = connect dir in
-  send c ~kind:Protocol.k_hello ~id:"" "smlsep-daemon/999";
-  let m = recv_frame srv c in
-  Alcotest.(check int) "error frame" Protocol.k_error m.Frame.f_kind;
-  Alcotest.(check bool) "names the mismatch" true
-    (String.length m.Frame.f_payload > 0);
-  recv_eof srv c;
-  disconnect c;
+  (* the previous protocol (whose build options still carried a
+     schedule) and a future one are both refused *)
+  List.iter
+    (fun other ->
+      let c = connect dir in
+      send c ~kind:Protocol.k_hello ~id:"" other;
+      let m = recv_frame srv c in
+      Alcotest.(check int) "error frame" Protocol.k_error m.Frame.f_kind;
+      Alcotest.(check bool) "names the mismatch" true
+        (String.length m.Frame.f_payload > 0);
+      recv_eof srv c;
+      disconnect c)
+    [ "smlsep-daemon/2"; "smlsep-daemon/999" ];
   (* the daemon is unharmed: a well-behaved client still gets served *)
   let c2 = client_of srv dir in
   ignore (status srv c2 ~id:"1");

@@ -6,7 +6,7 @@ module Profile = Obs.Profile
 module Driver = Irm.Driver
 
 let mk_unit ?(outcome = "recompiled") ?cause ?(culprits = []) ?(wall = 0.1)
-    ?(phases = []) ?(priority = 0.) name =
+    ?(phases = []) name =
   {
     Profile.up_unit = name;
     up_outcome = outcome;
@@ -16,11 +16,10 @@ let mk_unit ?(outcome = "recompiled") ?cause ?(culprits = []) ?(wall = 0.1)
     up_wall_s = wall;
     up_phases = phases;
     up_imports = [];
-    up_priority = priority;
   }
 
 let mk_build ?(id = 1) ?(policy = "cutoff") ?(wall = 1.0) ?(jobs = 1)
-    ?(busy = [ 0.5 ]) ?(schedule = "wavefront") ?(static_releases = 0) units =
+    ?(busy = [ 0.5 ]) units =
   {
     Profile.bp_id = id;
     bp_policy = policy;
@@ -28,8 +27,6 @@ let mk_build ?(id = 1) ?(policy = "cutoff") ?(wall = 1.0) ?(jobs = 1)
     bp_wall_s = wall;
     bp_jobs = jobs;
     bp_slot_busy_s = busy;
-    bp_schedule = schedule;
-    bp_static_releases = static_releases;
     bp_units = units;
   }
 
@@ -345,83 +342,76 @@ let test_driver_records_profile () =
       Alcotest.(check bool) "import pid is hex" true (String.length pid = 32))
     top.Profile.up_imports
 
-let test_schedule_recorded_and_degrades () =
-  (* a critical-path build stamps the profile with its schedule, the
-     per-unit priorities it ranked by, and the early static releases;
-     on a cold store the chain base <- mid <- top gets the 1s-per-unit
-     default estimate, so the priorities are exactly the chain depths *)
+let test_vandalised_store_rebuild_runs () =
+  (* a vandalised store never stops a build: the store loads empty and
+     the rebuild runs and is recorded as usual *)
   let fs = Vfs.memory () in
-  let profile = Profile.load fs in
-  let mgr = Driver.create fs in
   let sources = write_chain fs in
-  let stats =
-    Driver.build ~profile ~backend:(Sched.of_jobs 2)
-      ~schedule:Driver.Critical_path mgr ~policy:Driver.Cutoff ~sources
-  in
-  Alcotest.(check string) "stats carry the schedule" "critical-path"
-    (Driver.schedule_name stats.Driver.st_schedule);
-  Alcotest.(check int) "every compiled unit released its static view" 3
-    stats.Driver.st_static_releases;
-  let b =
-    match Profile.last profile with
-    | Some b -> b
-    | None -> Alcotest.fail "build not recorded"
-  in
-  Alcotest.(check string) "schedule recorded" "critical-path"
-    b.Profile.bp_schedule;
-  Alcotest.(check int) "static releases recorded" 3
-    b.Profile.bp_static_releases;
-  let prio build name =
-    match Profile.find_unit build name with
-    | Some u -> u.Profile.up_priority
-    | None -> Alcotest.fail (name ^ " missing from the profile")
-  in
-  List.iter
-    (fun (name, expected) ->
-      Alcotest.(check (float 1e-9))
-        ("cold chain priority of " ^ name)
-        expected (prio b name))
-    [ ("base.sml", 3.0); ("mid.sml", 2.0); ("top.sml", 1.0) ];
-  (* a vandalised store never stops the schedule: estimates fall back
-     to the cold default and the rebuild succeeds as usual *)
+  ignore
+    (Driver.build ~profile:(Profile.load fs) ~backend:(Sched.of_jobs 2)
+       (Driver.create fs) ~policy:Driver.Cutoff ~sources);
   fs.Vfs.fs_write (Filename.concat Profile.default_dir "store") "garbage";
   fs.Vfs.fs_remove (Filename.concat Profile.default_dir "journal");
-  let profile' = Profile.load fs in
-  Alcotest.(check int) "store is gone" 0 (List.length (Profile.builds profile'));
+  let profile = Profile.load fs in
+  Alcotest.(check int) "store is gone" 0 (List.length (Profile.builds profile));
   List.iter (fun f -> fs.Vfs.fs_remove (f ^ ".bin")) sources;
-  let mgr' = Driver.create fs in
-  let stats' =
-    Driver.build ~profile:profile' ~backend:(Sched.of_jobs 2)
-      ~schedule:Driver.Critical_path mgr' ~policy:Driver.Cutoff ~sources
+  let stats =
+    Driver.build ~profile ~backend:(Sched.of_jobs 2) (Driver.create fs)
+      ~policy:Driver.Cutoff ~sources
   in
   Alcotest.(check int) "damaged store: full rebuild still runs" 3
-    (List.length stats'.Driver.st_recompiled);
-  (match Profile.last profile' with
-  | Some b' ->
-    Alcotest.(check (float 1e-9))
-      "damaged store: priorities degrade to depth" 3.0 (prio b' "base.sml")
-  | None -> Alcotest.fail "rebuild not recorded");
-  (* and the wavefront records the neutral stamp: no priorities, no
-     early releases *)
-  List.iter (fun f -> fs.Vfs.fs_remove (f ^ ".bin")) sources;
-  let mgr'' = Driver.create fs in
-  let stats'' =
-    Driver.build ~profile:profile' ~backend:(Sched.of_jobs 2)
-      ~schedule:Driver.Wavefront mgr'' ~policy:Driver.Cutoff ~sources
+    (List.length stats.Driver.st_recompiled);
+  Alcotest.(check int) "rebuild recorded" 1
+    (List.length (Profile.builds profile))
+
+(* a journal line as the store wrote it while builds still recorded a
+   schedule, early static releases and per-unit priorities *)
+let older_journal_line =
+  {|8c1f8e1b4379ca3e {"backend":"serial","id":1,"jobs":1,"policy":"cutoff","schedule":"critical-path","slot_busy_s":[0.000292062759399],"static_releases":2,"units":[{"cause":"first-build","culprits":[],"imports":{},"name":"base.sml","outcome":"recompiled","phases":{"elaborate":1.9e-05,"hash":4.6e-05,"parse":5e-06,"pickle.read":7e-06,"pickle.write_static":1.5e-05,"rehydrate":2.09808349609e-05,"save":1.00135803223e-05,"scan":1e-06,"simplify":9e-06,"translate":7e-06},"priority":2.0,"start_s":5.41210174561e-05,"wall_s":0.000181913375854},{"cause":"first-build","culprits":[],"imports":{"base.sml":"f7db01b0b491a5fc096879c1535995b3"},"name":"top.sml","outcome":"recompiled","phases":{"elaborate":1e-05,"hash":3.6e-05,"parse":8e-06,"pickle.read":5e-06,"pickle.write_static":1.1e-05,"rehydrate":2.78949737549e-05,"save":1.31130218506e-05,"scan":0.0,"simplify":8e-06,"translate":2e-06},"priority":1.0,"start_s":0.000239133834839,"wall_s":0.000148057937622}],"wall_s":0.000395059585571}|}
+
+let test_older_journal_loads () =
+  let fs = Vfs.memory () in
+  fs.Vfs.fs_write
+    (Filename.concat Profile.default_dir "journal")
+    (older_journal_line ^ "\n");
+  let p = Profile.load fs in
+  let b =
+    match Profile.last p with
+    | Some b -> b
+    | None -> Alcotest.fail "the older journal line was dropped"
   in
-  Alcotest.(check string) "wavefront stamped" "wavefront"
-    (Driver.schedule_name stats''.Driver.st_schedule);
-  Alcotest.(check int) "wavefront: no static releases" 0
-    stats''.Driver.st_static_releases;
-  match Profile.last profile' with
-  | Some b'' ->
-    List.iter
-      (fun name ->
-        Alcotest.(check (float 1e-9))
-          ("wavefront priority of " ^ name)
-          0. (prio b'' name))
-      sources
-  | None -> Alcotest.fail "wavefront build not recorded"
+  Alcotest.(check (list string))
+    "units" [ "base.sml"; "top.sml" ]
+    (List.map (fun u -> u.Profile.up_unit) b.Profile.bp_units);
+  Alcotest.(check bool) "aggregate fed" true
+    (Profile.aggregate p "top.sml" <> None);
+  let json = Irm.Introspect.profile_report p ~json:true ~top:5 in
+  Alcotest.(check int) "json exit code" 0 json.Irm.Introspect.code;
+  let doc = Obs.Json.parse json.Irm.Introspect.out in
+  Alcotest.(check (option string))
+    "new envelope" (Some "smlsep-profile/2")
+    (match Obs.Json.member "version" doc with
+    | Some (Obs.Json.String v) -> Some v
+    | _ -> None);
+  let build =
+    match Obs.Json.member "build" doc with
+    | Some b -> b
+    | None -> Alcotest.fail "no build object"
+  in
+  Alcotest.(check bool) "no schedule key" true
+    (Obs.Json.member "schedule" build = None
+    && Obs.Json.member "static_releases" build = None);
+  Alcotest.(check bool) "no priority keys" true
+    (match Obs.Json.member "units" doc with
+    | Some (Obs.Json.List units) ->
+      List.length units = 2
+      && List.for_all (fun u -> Obs.Json.member "priority" u = None) units
+    | _ -> false);
+  let text = Irm.Introspect.profile_report p ~json:false ~top:5 in
+  Alcotest.(check int) "text exit code" 0 text.Irm.Introspect.code;
+  Alcotest.(check bool) "text names the build" true
+    (String.length text.Irm.Introspect.out > 0
+    && String.sub text.Irm.Introspect.out 0 8 = "build 1 ")
 
 let test_skipped_culprit_recorded () =
   let fs = Vfs.memory () in
@@ -595,8 +585,10 @@ let suite =
     Alcotest.test_case "slot stats" `Quick test_slot_stats;
     Alcotest.test_case "driver records the profile" `Quick
       test_driver_records_profile;
-    Alcotest.test_case "schedule recorded, damaged store degrades" `Quick
-      test_schedule_recorded_and_degrades;
+    Alcotest.test_case "vandalised store: rebuild still runs" `Quick
+      test_vandalised_store_rebuild_runs;
+    Alcotest.test_case "older journal loads and renders" `Quick
+      test_older_journal_loads;
     Alcotest.test_case "skipped culprit recorded" `Quick
       test_skipped_culprit_recorded;
     QCheck_alcotest.to_alcotest prop_comment_edit_exact;

@@ -6,7 +6,7 @@
    deterministically in a single domain (fork is unsafe once OCaml
    domains exist, and the chaos matrix must be reproducible anyway).
 
-   The headline harness: over random DAGs × policies × schedules ×
+   The headline harness: over random DAGs × policies ×
    seeded network fault plans (refused connects, resets, black holes,
    stragglers, torn frames, duplicated replies), every remote build
    must converge to bins byte-identical to a fault-free serial build —
@@ -286,12 +286,11 @@ let test_executor_killed_mid_build () =
 (* The chaos matrix                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* random DAGs x policies x schedules x seeded fault plans: whatever
+(* random DAGs x policies x seeded fault plans: whatever
    the network does to the client side of every connection, the build
    converges byte-identically (published seed on failure) *)
 let test_chaos_matrix () =
   let policies = [| Driver.Timestamp; Driver.Cutoff; Driver.Selective |] in
-  let schedules = [| Driver.Wavefront; Driver.Critical_path |] in
   for seed = 1 to 12 do
     let topology = Gen.Random_dag { units = 5; max_deps = 3; seed } in
     let ref_bins = reference topology in
@@ -303,16 +302,14 @@ let test_chaos_matrix () =
     let mgr = Driver.create fs in
     let cfg = fleet_cfg ~chaos:plan ~tick:(pump_exec exec) [ Exec.addr exec ] in
     let policy = policies.(seed mod Array.length policies) in
-    let schedule = schedules.(seed mod Array.length schedules) in
     let stats =
-      Driver.build mgr ~backend:(Driver.Remote cfg) ~schedule ~policy ~sources
+      Driver.build mgr ~backend:(Driver.Remote cfg) ~policy ~sources
     in
     if bins_of fs sources <> ref_bins then
       Alcotest.failf
-        "chaos divergence: seed %d (%s, %s, plan %s) — bins differ from serial"
+        "chaos divergence: seed %d (%s, plan %s) — bins differ from serial"
         seed
         (Driver.policy_name policy)
-        (Driver.schedule_name schedule)
         (Format.asprintf "%a" Netchaos.pp_plan plan);
     Alcotest.(check int)
       (Printf.sprintf "seed %d: build completed in full" seed)

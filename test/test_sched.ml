@@ -25,17 +25,12 @@ exception Abort_now of string
 (* Under [Workers], [execute] runs in a child process, reached through
    a codec.  Jobs and results here are plain strings, so the codec only
    has to carry the exceptions: [Failure] and [Abort_now] cross the
-   pipe by a one-letter tag.  With [static], the child releases
-   ["static-" ^ job] before finishing — what [sp_execute] does
-   in-process under the phase split. *)
-let string_codec ?(static = false) execute =
+   pipe by a one-letter tag. *)
+let string_codec execute =
   {
     Sched.c_proto =
       {
-        Worker.p_handler =
-          (fun ~notify ~id:_ job ->
-            if static then notify ("static-" ^ job);
-            execute job);
+        Worker.p_handler = (fun ~id:_ job -> execute job);
         p_encode_exn =
           (function
           | Abort_now m -> "A" ^ m
@@ -53,10 +48,8 @@ let string_codec ?(static = false) execute =
 
 (* [Sched.run] with [execute] installed for every backend: inline for
    [Serial], through {!string_codec} in the worker children *)
-let run_toy ?keep_going ?fatal ?priority ?split ?static backend ~order ~deps
-    ~prepare ~execute =
-  Sched.run ?keep_going ?fatal ?priority ?split
-    ~codec:(string_codec ?static execute)
+let run_toy ?keep_going ?fatal backend ~order ~deps ~prepare ~execute =
+  Sched.run ?keep_going ?fatal ~codec:(string_codec execute)
     backend ~order ~deps ~prepare ~execute
     ~complete:(fun _ result -> result)
 
@@ -172,17 +165,16 @@ let test_complete_respects_deps () =
   in
   Alcotest.(check int) "all nodes completed" n (List.length outcomes)
 
-(* ---- priority-aware dispatch ---- *)
+(* ---- dispatch order ---- *)
 
-let test_priority_dispatch_order () =
+let test_caller_order_dispatch () =
   (* Serial executes inline, so the execute log IS the dispatch order.
-     No map / a constant map must reproduce the exact caller order (the
-     priority queue may never perturb the wavefront default); a skewed
-     map dispatches highest-first with caller-order ties. *)
-  let run ?priority ~order ~deps () =
+     Among ready nodes the earliest in caller order goes first — also
+     when it became ready later than nodes queued behind it *)
+  let run ~order ~deps =
     let log = ref [] in
     ignore
-      (Sched.run ?priority Sched.Serial ~order ~deps
+      (Sched.run Sched.Serial ~order ~deps
          ~prepare:(fun node -> Sched.Run node)
          ~execute:(fun node ->
            log := node :: !log;
@@ -190,92 +182,24 @@ let test_priority_dispatch_order () =
          ~complete:(fun _ result -> result));
     List.rev !log
   in
-  let order = [ "a"; "b"; "c"; "d" ] and deps _ = [] in
   Alcotest.(check (list string))
-    "default: caller order" order
-    (run ~order ~deps ());
+    "independent nodes: caller order" [ "a"; "b"; "c"; "d" ]
+    (run ~order:[ "a"; "b"; "c"; "d" ] ~deps:(fun _ -> []));
   Alcotest.(check (list string))
-    "equal priorities: caller order" order
-    (run ~priority:(fun _ -> 7.) ~order ~deps ());
-  let skew = function "c" -> 3. | "b" -> 2. | _ -> 0. in
+    "a node ready late still precedes later nodes" [ "a"; "b"; "c"; "d" ]
+    (run ~order:[ "a"; "b"; "c"; "d" ] ~deps:(function
+       | "b" -> [ "a" ]
+       | _ -> []));
   Alcotest.(check (list string))
-    "highest first, ties in caller order"
-    [ "c"; "b"; "a"; "d" ]
-    (run ~priority:skew ~order ~deps ());
-  (* priorities steer only among *ready* nodes: favouring the diamond's
-     sink cannot dispatch it before its dependencies *)
-  let favour_sink = function "d" -> 10. | "c" -> 1. | _ -> 0. in
-  Alcotest.(check (list string))
-    "priority cannot jump the dependency gates"
-    [ "a"; "c"; "b"; "d" ]
-    (run ~priority:favour_sink ~order:toy_order ~deps:toy_deps ())
+    "diamond: caller order" toy_order
+    (run ~order:toy_order ~deps:toy_deps)
 
-let test_split_overlaps_codegen () =
-  (* a <- b on 2 workers: a releases its static view 20ms in, then
-     spends ~300ms in codegen.  b must demonstrably begin inside that
-     window — the overlap the pipelined split exists to create — and
-     the static payload must arrive via sp_on_static in the calling
-     process.  Each child reports when a finished or b started, in its
-     result, as a hex float after the node name. *)
-  let statics = ref [] in
-  let split =
-    {
-      Sched.sp_execute = (fun ~notify:_ _ -> assert false);
-      sp_on_static =
-        (fun node payload -> statics := (node, payload) :: !statics);
-    }
-  in
-  let proto =
-    {
-      (string_codec Fun.id).Sched.c_proto with
-      Worker.p_handler =
-        (fun ~notify ~id:_ node ->
-          if String.equal node "a" then begin
-            Unix.sleepf 0.02;
-            notify "static-of-a";
-            Unix.sleepf 0.3
-          end;
-          Printf.sprintf "%s %h" node (Unix.gettimeofday ()));
-    }
-  in
-  let outcomes =
-    Sched.run ~split
-      ~codec:{ (string_codec Fun.id) with Sched.c_proto = proto }
-      (workers 2) ~order:[ "a"; "b" ]
-      ~deps:(function "b" -> [ "a" ] | _ -> [])
-      ~prepare:(fun node -> Sched.Run node)
-      ~execute:(fun _ -> assert false)
-      ~complete:(fun _ result -> result)
-  in
-  let time_of node =
-    match List.assoc node outcomes with
-    | Sched.Completed result ->
-      Scanf.sscanf result "%s %h" (fun name t ->
-          Alcotest.(check string) "result names its node" node name;
-          t)
-    | Sched.Failed _ | Sched.Skipped _ ->
-      Alcotest.fail (node ^ " should have completed")
-  in
-  let a_finished = time_of "a" and b_started = time_of "b" in
-  Alcotest.(check (list (pair string string)))
-    "static payload routed to the calling process"
-    [ ("a", "static-of-a") ]
-    !statics;
-  if b_started >= a_finished then
-    Alcotest.fail
-      (Printf.sprintf "no overlap: b started %.0fms after a finished codegen"
-         ((b_started -. a_finished) *. 1e3))
+(* ---- the backend never changes outcomes ---- *)
 
-(* ---- priorities and the split never change outcomes ---- *)
-
-(* A random DAG at the Sched level: a seeded subset of nodes fail and a
-   seeded priority map skews dispatch.  Under keep_going the outcome
-   list — payloads, failure messages, skip culprits — must be identical
-   to the plain serial wavefront on every backend and job count, with
-   and without the split.  Failing nodes raise *after* releasing their
-   static view, so the property also covers the poison-after-release
-   path: a dependent that started speculatively must still settle as
-   the same [Skipped] a serial run reports. *)
+(* A random DAG at the Sched level: a seeded subset of nodes fail.
+   Under keep_going the outcome list — payloads, failure messages, skip
+   culprits — must be identical to the serial run's on every backend
+   and job count. *)
 
 let sched_case ~nodes ~seed =
   let rng = Random.State.make [| seed |] in
@@ -283,7 +207,6 @@ let sched_case ~nodes ~seed =
   let order = List.init nodes name in
   let deps_tbl = Hashtbl.create nodes in
   let fails_tbl = Hashtbl.create nodes in
-  let prio_tbl = Hashtbl.create nodes in
   List.iteri
     (fun i node ->
       let deps =
@@ -294,13 +217,11 @@ let sched_case ~nodes ~seed =
           |> List.sort_uniq compare
       in
       Hashtbl.replace deps_tbl node deps;
-      if Random.State.int rng 4 = 0 then Hashtbl.replace fails_tbl node ();
-      Hashtbl.replace prio_tbl node (float_of_int (Random.State.int rng 5)))
+      if Random.State.int rng 4 = 0 then Hashtbl.replace fails_tbl node ())
     order;
   ( order,
     (fun node -> Hashtbl.find deps_tbl node),
-    (fun node -> Hashtbl.mem fails_tbl node),
-    fun node -> Hashtbl.find prio_tbl node )
+    fun node -> Hashtbl.mem fails_tbl node )
 
 let outcome_repr outcomes =
   List.map
@@ -313,48 +234,27 @@ let outcome_repr outcomes =
         | Sched.Skipped culprit -> "skipped:" ^ culprit ))
     outcomes
 
-let run_sched_case ?priority ~with_split backend (order, deps, fails, _) =
-  let body node =
-    if fails node then failwith ("boom-" ^ node) else "ok-" ^ node
-  in
-  let split =
-    {
-      Sched.sp_execute =
-        (fun ~notify node ->
-          notify ("static-" ^ node);
-          body node);
-      sp_on_static = (fun _ _ -> ());
-    }
-  in
-  run_toy ?priority
-    ?split:(if with_split then Some split else None)
-    ~static:with_split ~keep_going:true backend ~order ~deps
+let run_sched_case backend (order, deps, fails) =
+  run_toy ~keep_going:true backend ~order ~deps
     ~prepare:(fun node -> Sched.Run node)
-    ~execute:body
+    ~execute:(fun node ->
+      if fails node then failwith ("boom-" ^ node) else "ok-" ^ node)
   |> outcome_repr
 
-let prop_priorities_preserve_outcomes =
-  QCheck.Test.make ~count:8 ~name:"priorities + split never change outcomes"
+let prop_backends_preserve_outcomes =
+  QCheck.Test.make ~count:8 ~name:"workers never change outcomes"
     QCheck.(pair (int_range 0 1000) (int_range 8 24))
     (fun (seed, nodes) ->
-      let ((_, _, _, priority) as case) = sched_case ~nodes ~seed in
-      let reference = run_sched_case ~with_split:false Sched.Serial case in
+      let case = sched_case ~nodes ~seed in
+      let reference = run_sched_case Sched.Serial case in
       List.iter
         (fun backend ->
-          List.iter
-            (fun with_split ->
-              let got =
-                run_sched_case ~priority ~with_split backend case
-              in
-              if got <> reference then
-                QCheck.Test.fail_reportf
-                  "seed %d, %d nodes, %s, split=%b: outcomes diverge from \
-                   the serial wavefront"
-                  seed nodes
-                  (Sched.backend_name backend)
-                  with_split)
-            [ false; true ])
-        [ Sched.Serial; workers 1; workers 2; workers 4 ];
+          if run_sched_case backend case <> reference then
+            QCheck.Test.fail_reportf
+              "seed %d, %d nodes, %s: outcomes diverge from the serial run"
+              seed nodes
+              (Sched.backend_name backend))
+        [ workers 1; workers 2; workers 4 ];
       true)
 
 (* ---- workers ≡ serial on generated projects ---- *)
@@ -364,7 +264,7 @@ let policies = [ Driver.Timestamp; Driver.Cutoff; Driver.Selective ]
 (* Cold build, implementation edit, interface edit — rebuilding after
    each — then collect everything observable: the per-build partitions,
    every unit's bin bytes, every unit's export pid. *)
-let build_sequence ?(schedule = Driver.Wavefront) backend policy ~seed ~units =
+let build_sequence backend policy ~seed ~units =
   let fs = Vfs.memory () in
   let project =
     Gen.create fs
@@ -379,11 +279,11 @@ let build_sequence ?(schedule = Driver.Wavefront) backend policy ~seed ~units =
       stats.Driver.st_cache_hits,
       stats.Driver.st_cutoff_hits )
   in
-  let s0 = Driver.build ~backend ~schedule mgr ~policy ~sources in
+  let s0 = Driver.build ~backend mgr ~policy ~sources in
   Gen.edit project (Gen.middle_file project) Gen.Impl_change;
-  let s1 = Driver.build ~backend ~schedule mgr ~policy ~sources in
+  let s1 = Driver.build ~backend mgr ~policy ~sources in
   Gen.edit project (Gen.base_file project) Gen.Iface_change;
-  let s2 = Driver.build ~backend ~schedule mgr ~policy ~sources in
+  let s2 = Driver.build ~backend mgr ~policy ~sources in
   let bins =
     List.map (fun f -> Option.get (fs.Vfs.fs_read (f ^ ".bin"))) sources
   in
@@ -418,28 +318,6 @@ let check_parallel_equals_serial policy ~seed ~jobs ~units =
 
 let test_parallel_equals_serial policy () =
   check_parallel_equals_serial policy ~seed:23 ~jobs:4 ~units:12
-
-let test_critical_path_equals_wavefront () =
-  (* the critical-path schedule — cold-estimate priorities plus the
-     pipelined split threaded through compile, the static rehydrate
-     path and the dependent's import reads — must leave everything
-     observable byte-identical to the wavefront, serial and on worker
-     processes, across a cold build and both edit kinds *)
-  let reference =
-    build_sequence ~schedule:Driver.Wavefront Driver.Serial Driver.Cutoff
-      ~seed:41 ~units:12
-  in
-  List.iter
-    (fun backend ->
-      let got =
-        build_sequence ~schedule:Driver.Critical_path backend Driver.Cutoff
-          ~seed:41 ~units:12
-      in
-      if got <> reference then
-        Alcotest.fail
-          (Printf.sprintf "critical-path on %s diverges from the wavefront"
-             (Sched.backend_name backend)))
-    [ Driver.Serial; workers 4 ]
 
 (* a compile in a worker child counts into the child's registry; its
    increments ride back in the result, so the building process reports
@@ -488,13 +366,9 @@ let suite =
       test_fatal_overrides_keep_going;
     Alcotest.test_case "complete respects dependencies" `Quick
       test_complete_respects_deps;
-    Alcotest.test_case "priority dispatch order" `Quick
-      test_priority_dispatch_order;
-    Alcotest.test_case "split overlaps dependent with codegen" `Quick
-      test_split_overlaps_codegen;
-    QCheck_alcotest.to_alcotest prop_priorities_preserve_outcomes;
-    Alcotest.test_case "critical-path = wavefront" `Quick
-      test_critical_path_equals_wavefront;
+    Alcotest.test_case "ready nodes dispatch in caller order" `Quick
+      test_caller_order_dispatch;
+    QCheck_alcotest.to_alcotest prop_backends_preserve_outcomes;
     Alcotest.test_case "parallel = serial (timestamp)" `Quick
       (test_parallel_equals_serial Driver.Timestamp);
     Alcotest.test_case "parallel = serial (cutoff)" `Quick
