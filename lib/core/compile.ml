@@ -118,6 +118,30 @@ let compile ?(optimize = true) ?warn ?diags session ~name ~source ~imports =
   }
 
 let load session bytes = Pickle.Binfile.read session.ctx bytes
+
+module Ifaces = struct
+  type t = (string, string * Pickle.Binfile.loaded) Hashtbl.t
+
+  let create () : t = Hashtbl.create 32
+
+  let load t session ~file bytes =
+    let loaded =
+      match Hashtbl.find_opt t file with
+      | Some (prev, loaded) when String.equal prev bytes -> loaded
+      | Some _ | None ->
+        let loaded = Pickle.Binfile.decode bytes in
+        Hashtbl.replace t file (bytes, loaded);
+        loaded
+    in
+    Pickle.Binfile.attach session.ctx loaded
+
+  let bindings t =
+    Hashtbl.fold
+      (fun file (bytes, loaded) acc ->
+        (file, bytes, loaded.Pickle.Binfile.l_unit) :: acc)
+      t []
+end
+
 let save session unit_ = Pickle.Binfile.write session.ctx unit_
 let execute ?output ?bin_path unit_ dynenv =
   Link.Linker.execute ?output ~unit_name:unit_.Pickle.Binfile.uf_name ?bin_path

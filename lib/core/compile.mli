@@ -56,6 +56,29 @@ val compile :
     a damaged file. *)
 val load : session -> string -> Pickle.Binfile.t
 
+(** Rehydrated interfaces kept between uses, keyed by file name and
+    checked by exact byte equality: the "context of previously loaded
+    units" that section 4 resolves stubs against.  A rehydrated unit
+    refers to no session (its type constructors live in the
+    {!Pickle.Binfile.loaded} entries), so one read serves every session
+    it is attached to.  Elaboration never changes an imported
+    interface, which the tests check by re-pickling every entry. *)
+module Ifaces : sig
+  type t
+
+  val create : unit -> t
+
+  (** [load t session ~file bytes] — the unit [t] holds for [file] if
+      its bytes equal [bytes], else a fresh read of [bytes] that
+      replaces it (one entry per file name); either way attached to
+      [session].  Raises {!Pickle.Buf.Corrupt} like {!load}, and then
+      keeps nothing. *)
+  val load : t -> session -> file:string -> string -> Pickle.Binfile.t
+
+  (** Every entry as (file, bytes, unit). *)
+  val bindings : t -> (string * string * Pickle.Binfile.t) list
+end
+
 (** [save session unit] — pickle a unit to bytes. *)
 val save : session -> Pickle.Binfile.t -> string
 

@@ -17,6 +17,11 @@ type t
     (phase [Manager]). *)
 val build : (string * Lang.Ast.unit_) list -> t
 
+(** [of_summaries summaries] — {!build} from each unit's
+    {!Scan.summary}, for callers that keep summaries instead of
+    syntax trees. *)
+val of_summaries : (string * Scan.summary) list -> t
+
 val node : t -> string -> node
 
 (** Files in dependency order (dependencies first).  Raises

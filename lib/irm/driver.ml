@@ -71,13 +71,17 @@ type t = {
   units : (string, Pickle.Binfile.t) Hashtbl.t;  (** last build's results *)
   bin_bytes : (string, string) Hashtbl.t;
       (** last build's bin bytes — the closures shipped to workers *)
-  retained : (string, string * Pickle.Binfile.t) Hashtbl.t;
+  ifaces : Sepcomp.Compile.Ifaces.t;
       (** warm state surviving across builds: file → (bin bytes, the
-          unit rehydrated from them).  When a later build reads the same
-          bytes back it reuses the rehydrated unit instead of unpickling
-          again — the daemon's warm-rebuild win.  Never trusted blindly:
-          entries are keyed by exact byte equality with what is on
-          disk. *)
+          interface rehydrated from them).  Every bin the manager reads
+          goes through it, and serial compile jobs attach their closures
+          from it, so an interface is unpickled once per distinct byte
+          string, not once per job or build.  Never trusted blindly:
+          entries are keyed by exact byte equality. *)
+  scans : (string, string * Depend.Scan.summary) Hashtbl.t;
+      (** file → (source, its dependency summary), for sources that
+          parsed without error: a build parses only the sources whose
+          bytes changed *)
   mutable last_order : string list;  (** build order of the last build *)
 }
 
@@ -87,11 +91,13 @@ let create fs =
     session = Sepcomp.Compile.new_session ();
     units = Hashtbl.create 32;
     bin_bytes = Hashtbl.create 32;
-    retained = Hashtbl.create 32;
+    ifaces = Sepcomp.Compile.Ifaces.create ();
+    scans = Hashtbl.create 32;
     last_order = [];
   }
 
 let session t = t.session
+let interfaces t = t.ifaces
 let last_order t = t.last_order
 
 let manager_error fmt = Diag.error Diag.Manager Support.Loc.dummy fmt
@@ -102,18 +108,47 @@ let read_source t file =
   | Some content -> content
   | None -> manager_error "source file %s not found" file
 
-(* Rehydrate bin bytes into the manager's session, short-circuiting through
-   the retained table: if this exact byte string was already loaded for
-   this file in an earlier build (the session is created once per
-   driver, so its interned state is still valid), reuse the unit.
+(* Rehydrate bin bytes into the manager's session through the interface
+   table: bytes already read for this file are not unpickled again.
    Raises [Pickle.Buf.Corrupt] exactly like [Sepcomp.Compile.load]. *)
 let rehydrate t file bytes =
-  match Hashtbl.find_opt t.retained file with
-  | Some (prev_bytes, unit_) when String.equal prev_bytes bytes -> unit_
+  Sepcomp.Compile.Ifaces.load t.ifaces t.session ~file bytes
+
+let m_scan_parses = Obs.Metrics.counter "build.scan_parses"
+
+(* [file]'s dependency summary, parsing its source only when the bytes
+   differ from the last clean parse.  With [recover], a broken source
+   still yields a summary (of what the recovering parser kept, or none
+   at all), so its diagnostics surface later as a failed compile job
+   (compiles are pure, so the job re-derives exactly the same
+   diagnostics) instead of aborting the scan; without, the parse error
+   is raised.  A parse with errors is never kept: a broken source is
+   parsed again until it is fixed. *)
+let scan_summary t ~recover file =
+  let source = read_source t file in
+  match Hashtbl.find_opt t.scans file with
+  | Some (prev, summary) when String.equal prev source -> summary
   | Some _ | None ->
-    let unit_ = Sepcomp.Compile.load t.session bytes in
-    Hashtbl.replace t.retained file (bytes, unit_);
-    unit_
+    Obs.Metrics.incr m_scan_parses;
+    let keep unit_ =
+      let summary = Depend.Scan.scan unit_ in
+      Hashtbl.replace t.scans file (source, summary);
+      summary
+    in
+    if recover then
+      let diags = Diag.collector ~unit_name:file () in
+      match Lang.Parser.parse_unit ~diags ~file source with
+      | unit_ when Diag.has_errors diags -> Depend.Scan.scan unit_
+      | unit_ -> keep unit_
+      | exception Diag.Errors _ ->
+        Depend.Scan.scan { Lang.Ast.unit_file = file; unit_decs = [] }
+    else keep (Lang.Parser.parse_unit ~file source)
+
+let graph_of t ~recover sources =
+  Depend.Depgraph.of_summaries
+    (List.map (fun file -> (file, scan_summary t ~recover file)) sources)
+
+let scan t ~sources = graph_of t ~recover:true sources
 
 (* Try to read the unit's previous bin file; damaged files force a
    recompilation (with a distinct cause) rather than failing the
@@ -152,8 +187,6 @@ type result = Wire.result = {
   r_phases : (string * float) list;  (** per-phase compile seconds *)
   r_counters : (string * int) list;
 }
-
-let execute job = Wire.execute job
 
 (* per-unit bookkeeping recorded by [prepare] for [complete] *)
 type prep = {
@@ -202,29 +235,10 @@ let build ?(backend = Serial) ?cache ?profile ?(retries = 2)
     "build"
   @@ fun () ->
   let build_start = Unix.gettimeofday () in
-  let parsed =
+  let graph =
     Obs.Trace.span ~cat:"build" "build.scan_sources" @@ fun () ->
-    List.map
-      (fun file ->
-        let source = read_source t file in
-        let unit_ =
-          if keep_going then
-            (* throwaway recovery parse: the dependency scan must survive
-               broken sources, whose diagnostics then surface as failed
-               compile jobs (compiles are pure, so the job re-derives
-               exactly the same diagnostics) instead of aborting the
-               whole build before anything was scheduled *)
-            let scan_diags = Diag.collector ~unit_name:file () in
-            match Lang.Parser.parse_unit ~diags:scan_diags ~file source with
-            | unit_ -> unit_
-            | exception Diag.Errors _ ->
-              { Lang.Ast.unit_file = file; unit_decs = [] }
-          else Lang.Parser.parse_unit ~file source
-        in
-        (file, unit_))
-      sources
+    graph_of t ~recover:keep_going sources
   in
-  let graph = Depend.Depgraph.build parsed in
   let order = Depend.Depgraph.topological graph in
   Hashtbl.reset t.units;
   Hashtbl.reset t.bin_bytes;
@@ -553,7 +567,8 @@ let build ?(backend = Serial) ?cache ?profile ?(retries = 2)
     try
       Sched.run ~retries ~backoff_s ~retryable:transient_fault ~keep_going
         ~fatal:(function Interrupted _ -> true | _ -> false)
-        ?codec backend ~order ~deps:deps_of ~prepare ~execute ~complete
+        ?codec backend ~order ~deps:deps_of ~prepare
+        ~execute:(Wire.execute t.ifaces) ~complete
     with Interrupted reason as exn ->
       record_partial reason;
       raise exn
@@ -754,14 +769,7 @@ let run ?output t ~sources =
   in
   let order =
     if same_sources then t.last_order
-    else
-      let parsed =
-        List.map
-          (fun file ->
-            (file, Lang.Parser.parse_unit ~file (read_source t file)))
-          sources
-      in
-      Depend.Depgraph.topological (Depend.Depgraph.build parsed)
+    else Depend.Depgraph.topological (graph_of t ~recover:false sources)
   in
   List.fold_left
     (fun dynenv file ->

@@ -114,15 +114,28 @@ type t
 exception Interrupted of string
 
 (** [create fs] — a manager over a file system; owns a compilation
-    session that persists across builds.  The session — and with it the
-    interned symbols, rehydrated static environments, and the bin-byte
-    identity of every unit loaded so far — is retained across builds:
-    re-entering [build] on a warm manager skips rehydration for every
-    unit whose bin bytes are unchanged on disk.  A long-running daemon
-    holds one manager per group for exactly this reason. *)
+    session that persists across builds, and two tables keyed by file
+    name and checked by exact byte equality: the interface table
+    ({!Sepcomp.Compile.Ifaces}) of every bin it has read, which serial
+    compile jobs attach their closures from, and the scan table of
+    every source's dependency summary.  A warm manager unpickles no bin
+    and parses no source whose bytes are unchanged.  A long-running
+    daemon holds one manager per group for exactly this reason. *)
 val create : Vfs.fs -> t
 
 val session : t -> Sepcomp.Compile.session
+
+(** The manager's interface table. *)
+val interfaces : t -> Sepcomp.Compile.Ifaces.t
+
+(** [scan t ~sources] — the dependency graph of [sources] as they are on
+    disk now, through the manager's scan table: only sources whose
+    bytes changed since their last clean parse are parsed again (each
+    such parse counts in [build.scan_parses]).  A source that does not
+    parse contributes what the recovering parser kept of it, or nothing,
+    rather than failing the scan.  Raises {!Support.Diag.Error} on a
+    missing source or a module defined twice. *)
+val scan : t -> sources:string list -> Depend.Depgraph.t
 
 (** The build order recorded by the last successful {!build} ([[]]
     before the first). *)
@@ -206,9 +219,10 @@ val recover : t -> sources:string list -> recovery
 val pp_recovery : Format.formatter -> recovery -> unit
 
 (** [run ?output t ~sources] — execute every unit of the last build in
-    dependency order (the order recorded by that build — sources are
-    re-parsed only if [sources] differs from the last build's set);
-    returns the final dynamic environment. *)
+    dependency order (the order recorded by that build; only if
+    [sources] differs from the last build's set is the order derived
+    again, through the scan table); returns the final dynamic
+    environment. *)
 val run : ?output:(string -> unit) -> t -> sources:string list -> Link.Linker.dynenv
 
 (** [outcome_of stats file] — ["recompiled"], ["loaded"], ["cache"]

@@ -25,15 +25,18 @@ type result = {
 let manager_error fmt = Diag.error Diag.Manager Loc.dummy fmt
 
 (* [execute] may run inline or in a forked child.  It touches nothing
-   but the job: a brand-new session is rehydrated from the closure
-   bytes, the unit is compiled against its direct imports, and the
-   pickled bytes are the result.  Because generated binder names are
-   scoped per compile (Symbol.with_fresh_scope) the bytes are a pure
-   function of (source, closure) — identical no matter which process,
-   or how many, ran the job.  The serial backend runs this very
-   function inline, so Serial and Workers builds agree byte-for-byte by
-   construction. *)
-let execute job =
+   but the job and the interface table [ifaces]: a brand-new session
+   gets the closure's interfaces attached from the table (a unit is
+   unpickled only when the table has no entry with exactly its bytes),
+   the unit is compiled against its direct imports, and the pickled
+   bytes are the result.  Compiling never changes an imported
+   interface, and generated binder names are scoped per compile
+   (Symbol.with_fresh_scope), so the bytes are a pure function of
+   (source, closure) — identical no matter which process, or how many,
+   ran the job, or what the table held.  The serial backend runs this
+   very function inline, so Serial and Workers builds agree
+   byte-for-byte by construction. *)
+let execute ifaces job =
   Obs.Trace.span ~cat:"compile"
     ~args:[ ("unit", job.j_name); ("build", string_of_int job.j_build) ]
     "build.compile_job"
@@ -47,7 +50,8 @@ let execute job =
   let units = Hashtbl.create 16 in
   List.iter
     (fun (dep, bytes) ->
-      Hashtbl.replace units dep (Sepcomp.Compile.load session bytes))
+      Hashtbl.replace units dep
+        (Sepcomp.Compile.Ifaces.load ifaces session ~file:dep bytes))
     job.j_closure;
   let imports =
     List.map
@@ -318,13 +322,17 @@ let remote_fail ~id = function
             rf_detail))
 
 let proto () =
+  (* created before the pool forks, so each child starts with an empty
+     table of its own and reads an interface at most once while it
+     lives *)
+  let ifaces = Sepcomp.Compile.Ifaces.create () in
   {
     Worker.p_handler =
       (fun ~id:_ payload ->
         (* the compile's counters travel with the reply and are added
            where the result is decoded (see [codec]) *)
         let result, r_counters =
-          Obs.Metrics.detach (fun () -> execute (decode_job payload))
+          Obs.Metrics.detach (fun () -> execute ifaces (decode_job payload))
         in
         encode_result { result with r_counters });
     p_encode_exn = encode_exn;

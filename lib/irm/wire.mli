@@ -38,10 +38,14 @@ type result = {
           process ran it ({!proto}); [[]] from {!execute} *)
 }
 
-(** Compile a job in a brand-new session.  Pure: the resulting bytes
-    are a function of (source, closure) alone, identical no matter
-    which process ran the job. *)
-val execute : job -> result
+(** [execute ifaces job] — compile a job in a brand-new session, with
+    the closure's interfaces attached from [ifaces] (read into it on a
+    miss: no entry for the file, or one with other bytes).  The
+    [rehydrate] phase times those attaches and misses.  Pure: the
+    resulting bytes are a function of (source, closure) alone,
+    identical no matter which process ran the job or what [ifaces]
+    held. *)
+val execute : Sepcomp.Compile.Ifaces.t -> job -> result
 
 (** A failure the child could not express as diagnostics (its message
     is the child-side [Printexc.to_string]).  Renders as the bare
@@ -65,12 +69,16 @@ val encode_exn : exn -> string
 
 val decode_exn : string -> exn
 
-(** The worker protocol: [p_handler] decodes a job, runs {!execute},
-    and encodes the result with the counter increments the compile made
+(** The worker protocol: [p_handler] decodes a job, runs {!execute}
+    against an interface table made by this call, and encodes the
+    result with the counter increments the compile made
     ({!Obs.Metrics.detach}; a compile that fails keeps its increments
     in the serving process); [p_fail] mints the supervision diagnostics
     — [E0701] (compiler crash, unit quarantined) and [E0702] (compile
-    timeout). *)
+    timeout).  Worker children fork after the call, so each starts with
+    an empty table and reads an interface at most once while it lives;
+    a long-lived executor ([serve-exec]) keeps one entry per file
+    name. *)
 val proto : unit -> Worker.proto
 
 (** The remote fleet's failure translator: [E0703] (remote executors

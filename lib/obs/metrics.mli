@@ -14,9 +14,10 @@
     build.recompiled       units recompiled by the last IRM builds
     build.loaded           units loaded up to date from bin files
     build.cutoff_hits      recompiles whose interface pid was unchanged
+    build.scan_parses      sources the dependency scan parsed (changed bytes)
     pickle.bytes_written   bin-file bytes produced
     pickle.bytes_read      bin-file bytes parsed
-    pickle.rehydrations    environments rehydrated from bin files
+    pickle.rehydrations    bin files unpickled (interface-table misses)
     hash.pids              intrinsic interface pids computed
     simplify.passes        lambda-simplifier passes run
     simplify.rewrites      lambda nodes eliminated by the simplifier

@@ -260,9 +260,9 @@ let static_payload ctx uf =
   Serial.write_env w ctx ~token ~with_addrs:true uf.uf_env;
   Buf.contents w
 
-(* parses the blob, registering the unit's own stamps in [ctx], and
-   returns the unit awaiting its codeUnit *)
-let read_static_payload ctx blob =
+(* parses the blob and returns the definitions of the unit's own stamps
+   (registered nowhere yet) and the unit awaiting its codeUnit *)
+let read_static_payload blob =
   let r = Buf.reader blob in
   let uf_name = Buf.read_string r in
   let uf_static_pid = Buf.read_pid r in
@@ -289,38 +289,34 @@ let read_static_payload ctx blob =
     | Serial.TokOwn idx -> Statics.Stamp.External (uf_static_pid, idx)
     | Serial.TokExtern (pid, idx) -> Statics.Stamp.External (pid, idx)
   in
-  (* rehydrate the own-stamp table, registering definitions *)
+  (* the own-stamp table; an entry without a definition (byte 0) has
+     nothing to register *)
   let entries =
     Buf.read_list r (fun () ->
         let owner = Buf.read_pid r in
         let idx = Buf.read_int r in
-        let info =
-          match Buf.read_byte r with
-          | 0 -> None
-          | 1 -> Some (Serial.read_tycon_info r ~resolve)
-          | b -> raise (Buf.Corrupt (Printf.sprintf "bad table tag %d" b))
-        in
-        (owner, idx, info))
+        match Buf.read_byte r with
+        | 0 -> None
+        | 1 ->
+          Some
+            ( Statics.Stamp.External (owner, idx),
+              Serial.read_tycon_info r ~resolve )
+        | b -> raise (Buf.Corrupt (Printf.sprintf "bad table tag %d" b)))
+    |> List.filter_map Fun.id
   in
-  List.iter
-    (fun (owner, idx, info) ->
-      match info with
-      | Some info ->
-        Statics.Context.register ctx (Statics.Stamp.External (owner, idx)) info
-      | None -> ())
-    entries;
   let uf_env = Serial.read_env r ~resolve in
   if not (Buf.at_end r) then raise (Buf.Corrupt "trailing static bytes");
   fun uf_codeunit ->
-    {
-      uf_name;
-      uf_static_pid;
-      uf_env;
-      uf_import_statics;
-      uf_name_statics;
-      uf_import_name_statics;
-      uf_codeunit;
-    }
+    ( entries,
+      {
+        uf_name;
+        uf_static_pid;
+        uf_env;
+        uf_import_statics;
+        uf_name_statics;
+        uf_import_name_statics;
+        uf_codeunit;
+      } )
 
 (* fixed-width big-endian CRC-64 trailer: readers can locate and
    verify it before parsing a single payload byte *)
@@ -362,7 +358,12 @@ let write ctx uf =
   Obs.Metrics.add m_bytes_written (String.length bytes);
   bytes
 
-let read ctx data =
+type loaded = {
+  l_unit : t;
+  l_entries : (Statics.Stamp.t * Statics.Types.tycon_info) list;
+}
+
+let decode data =
   Obs.Trace.span ~cat:"pickle" "pickle.read" @@ fun () ->
   Obs.Metrics.add m_bytes_read (String.length data);
   Obs.Metrics.incr m_rehydrations;
@@ -371,7 +372,7 @@ let read ctx data =
   if not (String.equal (Buf.read_string r) magic) then
     raise (Buf.Corrupt "bad magic")
   else begin
-    let with_code = read_static_payload ctx (Buf.read_string r) in
+    let with_code = read_static_payload (Buf.read_string r) in
     let cu_imports = Buf.read_list r (fun () -> Buf.read_pid r) in
     let cu_exports =
       Buf.read_list r (fun () ->
@@ -381,7 +382,18 @@ let read ctx data =
     in
     let cu_code = read_lambda r in
     if not (Buf.at_end r) then raise (Buf.Corrupt "trailing bytes");
-    with_code { Link.Codeunit.cu_imports; cu_exports; cu_code }
+    let l_entries, l_unit =
+      with_code { Link.Codeunit.cu_imports; cu_exports; cu_code }
+    in
+    { l_unit; l_entries }
   end
+
+let attach ctx loaded =
+  List.iter
+    (fun (stamp, info) -> Statics.Context.register ctx stamp info)
+    loaded.l_entries;
+  loaded.l_unit
+
+let read ctx data = attach ctx (decode data)
 
 let size_of ctx uf = String.length (write ctx uf)

@@ -43,9 +43,26 @@ val magic : string
 (** [write ctx unit] — serialize to bytes. *)
 val write : Statics.Context.t -> t -> string
 
-(** [read ctx bytes] — parse, verify magic + CRC, register the unit's
-    own stamps in [ctx], and return the Unit.
+(** A unit as read from its bytes, with the definitions of the type
+    constructors it owns: what a read registers in a context.  Nothing
+    in it refers to a context, so one [loaded] can be attached to many
+    sessions. *)
+type loaded = {
+  l_unit : t;
+  l_entries : (Statics.Stamp.t * Statics.Types.tycon_info) list;
+}
+
+(** [decode bytes] — parse and verify magic + CRC; registers nothing.
+    Every call is one real read ([pickle.rehydrations]).
     Raises {!Buf.Corrupt} on damage. *)
+val decode : string -> loaded
+
+(** [attach ctx loaded] — register the unit's own stamps in [ctx]
+    ("rehydration" proper, section 4) and return the unit. *)
+val attach : Statics.Context.t -> loaded -> t
+
+(** [read ctx bytes] — [attach ctx (decode bytes)].
+    Raises {!Buf.Corrupt} on damage, before registering anything. *)
 val read : Statics.Context.t -> string -> t
 
 (** [size_of ctx unit] — serialized size in bytes (for benches). *)

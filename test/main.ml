@@ -28,6 +28,7 @@ let core_suites =
     ("faults", Test_faults.suite);
     ("daemon", Test_daemon.suite);
     ("remote", Test_remote.suite);
+    ("tables", Test_tables.suite);
   ]
 
 let process_suites =

@@ -321,14 +321,19 @@ let test_parallel_equals_serial policy () =
 
 (* a compile in a worker child counts into the child's registry; its
    increments ride back in the result, so the building process reports
-   the same compile-side counters whichever backend ran the compiles *)
+   the same compile-side counters whichever backend ran the compiles.
+   Reads are the exception: a serial build shares the manager's
+   interface table with its jobs and reads each built unit once (when
+   its result is merged), while each worker child fills a table of its
+   own and the merge reads every result again. *)
 let test_workers_report_compile_counters () =
   let counters = [ "compile.units"; "simplify.rewrites"; "pickle.rehydrations"; "hash.pids" ] in
+  let units = 12 in
   let deltas backend =
     let fs = Vfs.memory () in
     let project =
       Gen.create fs
-        (Gen.Random_dag { units = 12; max_deps = 3; seed = 5 })
+        (Gen.Random_dag { units; max_deps = 3; seed = 5 })
         Gen.default_profile
     in
     let value name = Option.value ~default:0 (Obs.Metrics.find name) in
@@ -343,9 +348,17 @@ let test_workers_report_compile_counters () =
     (fun (name, n) ->
       Alcotest.(check bool) (name ^ " counted by a serial build") true (n > 0))
     serial;
+  let workers = deltas (workers 2) in
+  let without_reads =
+    List.filter (fun (name, _) -> name <> "pickle.rehydrations")
+  in
   Alcotest.(check (list (pair string int)))
-    "workers-2 = serial" serial
-    (deltas (workers 2))
+    "workers-2 = serial, reads aside" (without_reads serial)
+    (without_reads workers);
+  Alcotest.(check int) "serial reads each built unit once" units
+    (List.assoc "pickle.rehydrations" serial);
+  Alcotest.(check bool) "workers-2 read at least as often" true
+    (List.assoc "pickle.rehydrations" workers >= units)
 
 let prop_parallel_equals_serial =
   QCheck.Test.make ~count:6 ~name:"parallel build = serial build"
